@@ -185,6 +185,7 @@ import (
 	"io"
 	"io/fs"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -1004,6 +1005,11 @@ func parseDense(dim int) func(json.RawMessage) (hybridlsh.Dense, error) {
 		}
 		p := make(hybridlsh.Dense, dim)
 		for i, v := range vals {
+			// Refuse what float32 cannot hold: a coordinate narrowed to
+			// ±Inf would poison the bucket keys every shard shares.
+			if math.IsNaN(v) || math.Abs(v) > math.MaxFloat32 {
+				return nil, fmt.Errorf("coordinate %d = %v is not a finite float32", i, v)
+			}
 			p[i] = float32(v)
 		}
 		return p, nil
@@ -1852,6 +1858,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"live":         topo.Live,
 		"tombstones":   topo.Tombstones,
 		"queries":      s.queries.Load(),
+		"hashing": map[string]any{
+			"shared_keys":     topo.SharedKeys,
+			"shared_hash_sec": float64(topo.HashNanos) / 1e9,
+		},
 		"compaction": map[string]any{
 			"threshold":       s.cfg.compactThresh,
 			"per_shard":       topo.Compactions,

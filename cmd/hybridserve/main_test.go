@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	hybridlsh "repro"
@@ -275,6 +276,60 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /query: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteInputRefused: a coordinate float32 cannot hold would
+// narrow to ±Inf and poison the bucket keys every shard shares, so
+// /query, /batch and /append refuse it with a 400 — and a refused
+// request leaves the store exactly as it was.
+func TestNonFiniteInputRefused(t *testing.T) {
+	cfg := testConfig()
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	store := s.be.(*engine[hybridlsh.Dense]).store()
+	before := store.Stats()
+
+	good := "[" + strings.TrimSuffix(strings.Repeat("0.5,", cfg.dim), ",") + "]"
+	for _, bad := range []string{"1e39", "-1e39", "3.5e38", "1e309"} {
+		pt := "[" + bad + strings.Repeat(",0.5", cfg.dim-1) + "]"
+		for _, tc := range []struct{ route, body string }{
+			{"/query", `{"point": ` + pt + `}`},
+			{"/batch", `{"points": [` + pt + `]}`},
+			// A valid point ahead of the bad one must not land either.
+			{"/append", `{"points": [` + good + `, ` + pt + `]}`},
+		} {
+			resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s with coordinate %s: status %d, want 400", tc.route, bad, resp.StatusCode)
+			}
+		}
+	}
+
+	after := store.Stats()
+	if after.Live != before.Live || !slices.Equal(after.ShardSizes, before.ShardSizes) ||
+		!slices.Equal(after.ShardAppends, before.ShardAppends) || store.N() != cfg.n {
+		t.Fatalf("store changed by refused requests: live %d -> %d, sizes %v -> %v",
+			before.Live, after.Live, before.ShardSizes, after.ShardSizes)
+	}
+
+	// The largest finite float32 is still accepted.
+	largest := "[" + strings.Repeat("3.4e38,", cfg.dim-1) + "3.4e38]"
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"point": `+largest+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query at 3.4e38: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -47,13 +47,15 @@
 // Appends write-lock only the smallest shard while the rest keep
 // serving (a query fanned out mid-append waits on that one shard before
 // merging), and Delete tombstones ids immediately. On the same point
-// slice a sharded index shares the unsharded index's id universe (point
-// i keeps id i), and the reported sets agree up to the per-point δ
-// failure probability — the shards draw independent hash functions, so
-// the two structures may miss different neighbors that sit near the
-// radius boundary. cmd/hybridserve exposes a sharded index over HTTP JSON
-// (/query, /batch, /append, /delete, /compact, /snapshot, /stats,
-// /healthz) with latency percentiles.
+// slice and seed a sharded index shares the unsharded index's id
+// universe (point i keeps id i) and its drawn hash functions: the
+// shards' LSH answers together are exactly the unsharded LSH answer,
+// and each query is hashed once, not once per shard. Each shard still
+// decides LSH vs linear for its own points, and a linear shard is
+// exact, so a sharded answer contains the unsharded LSH answer and
+// never reports a point outside r. cmd/hybridserve exposes a sharded
+// index over HTTP JSON (/query, /batch, /append, /delete, /compact,
+// /snapshot, /stats, /healthz) with latency percentiles.
 //
 // # Multi-probe serving mode
 //

@@ -6,41 +6,16 @@ import (
 	"repro/internal/lsh"
 )
 
-// The bucket-set entry points: the hybrid decision and both search
-// paths over an externally assembled probe bucket set, instead of the
-// one-bucket-per-table set Query collects itself. They are how the
-// probing extensions (multi-probe LSH) reuse Algorithm 2 verbatim —
-// same short-circuits, same pooled scratch, same timing decomposition —
-// with #collisions and candSize taken over the (T+1)·L probed buckets.
+// The bucket-set entry points: the forced LSH search and the bare
+// decision over an externally assembled probe bucket set, instead of
+// the one-bucket-per-table set Query collects itself (the hybrid answer
+// over a probe set is QueryKeys). They are how the probing extensions
+// (multi-probe LSH) reuse Algorithm 2 verbatim — same short-circuits,
+// same pooled scratch, same timing decomposition — with #collisions and
+// candSize taken over the (T+1)·L probed buckets.
 //
 // The buckets must belong to this index's tables (ids are interpreted
-// against ix.Points()); callers collect them via lsh.Tables.Table
-// lookups under their own probing scheme.
-
-// QueryBuckets answers one rNNR query with the hybrid strategy over the
-// given bucket set: decide from bucket sizes and merged sketches, then
-// run the dedup bucket search or the exact linear scan, whichever is
-// cheaper. EstimateTime covers the decision only — callers fold their
-// bucket-collection time in on top.
-func (ix *Index[P]) QueryBuckets(q P, buckets []*lsh.Bucket) ([]int32, QueryStats) {
-	st := ix.getState()
-	defer ix.states.Put(st)
-
-	var stats QueryStats
-	t0 := time.Now()
-	stats.Strategy = ix.decide(buckets, st, &stats)
-	stats.EstimateTime = time.Since(t0)
-
-	t1 := time.Now()
-	var out []int32
-	if stats.Strategy == StrategyLSH {
-		out = ix.searchBuckets(q, buckets, st, &stats)
-	} else {
-		out = ix.searchLinear(q, &stats)
-	}
-	stats.SearchTime = time.Since(t1)
-	return out, stats
-}
+// against ix.Points()); callers collect them via lsh.Tables.LookupKeys.
 
 // QueryBucketsLSH forces the LSH-based search over the given bucket set
 // (no estimation, no fallback) — the multi-probe analogue of QueryLSH.

@@ -576,9 +576,27 @@ func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
 
-	var stats QueryStats
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
+	return ix.answer(q, st, t0)
+}
+
+// QueryKeys implements Store: Query over precomputed keys. The keys may
+// come from another index's Keyer when the two share hash functions.
+func (ix *Index[P]) QueryKeys(q P, ks *lsh.Keys, _ int) ([]int32, QueryStats) {
+	st := ix.getState()
+	defer ix.states.Put(st)
+
+	t0 := time.Now()
+	st.buckets = ix.tables.LookupKeys(ks, st.buckets)
+	return ix.answer(q, st, t0)
+}
+
+// answer runs Algorithm 2 from the looked-up buckets in st.buckets on:
+// the decision, then the chosen search. t0 marks the start of the
+// estimate stage (the bucket lookup).
+func (ix *Index[P]) answer(q P, st *queryState, t0 time.Time) ([]int32, QueryStats) {
+	var stats QueryStats
 	stats.Strategy = ix.decide(st.buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
 

@@ -549,22 +549,62 @@ func (ix *Index) Query(q vector.Binary) ([]int32, core.QueryStats) {
 // keeps both paths exact, since the points within r' ≤ r are a subset of
 // those the tables cover. It implements core.RadiusQuerier.
 func (ix *Index) QueryRadius(q vector.Binary, r int) ([]int32, core.QueryStats) {
-	rr := ix.resolve(r)
 	st := ix.getState()
 	defer ix.states.Put(st)
 
-	var stats core.QueryStats
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, st)
-	stats.Strategy = ix.decide(buckets, st, &stats)
+	ix.lookupInto(q, st)
+	return ix.answer(q, ix.resolve(r), st, t0)
+}
+
+// maskKeyer is the covering Keyer: one masked key per table. It never
+// reports sharing: covering shards keep their own φ masks (equal across
+// shards built from one seed, but never aliased), so each covering shard
+// computes its own keys — cheap mask-and-fold hashing.
+type maskKeyer []vector.Binary
+
+func (k maskKeyer) Keys(q vector.Binary, _ int, ks *lsh.Keys) {
+	ks.Reset()
+	for _, mask := range k {
+		ks.Keys = append(ks.Keys, maskedKey(q, mask))
+		ks.EndTable()
+	}
+}
+
+func (maskKeyer) Shares(core.Keyer[vector.Binary]) bool { return false }
+
+// Keyer implements core.Store: one masked key per table.
+func (ix *Index) Keyer() core.Keyer[vector.Binary] { return maskKeyer(ix.masks) }
+
+// QueryKeys implements core.Store: QueryRadius over the keys of this
+// index's own Keyer (one per table), with r the radius override.
+func (ix *Index) QueryKeys(q vector.Binary, ks *lsh.Keys, r int) ([]int32, core.QueryStats) {
+	st := ix.getState()
+	defer ix.states.Put(st)
+
+	t0 := time.Now()
+	st.buckets = st.buckets[:0]
+	for t, key := range ks.Keys {
+		if b := ix.tables[t][key]; b != nil {
+			st.buckets = append(st.buckets, b)
+		}
+	}
+	return ix.answer(q, ix.resolve(r), st, t0)
+}
+
+// answer runs the decision and the chosen search at radius r over the
+// buckets in st.buckets; t0 marks the start of the estimate stage.
+func (ix *Index) answer(q vector.Binary, r int, st *queryState, t0 time.Time) ([]int32, core.QueryStats) {
+	var stats core.QueryStats
+	stats.Strategy = ix.decide(st.buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
 
 	t1 := time.Now()
 	var out []int32
 	if stats.Strategy == core.StrategyLSH {
-		out = ix.searchBuckets(q, rr, buckets, st, &stats)
+		out = ix.searchBuckets(q, r, st.buckets, st, &stats)
 	} else {
-		out = ix.searchLinear(q, rr, &stats)
+		out = ix.searchLinear(q, r, &stats)
 	}
 	stats.SearchTime = time.Since(t1)
 	return out, stats

@@ -2,6 +2,7 @@ package lsh
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 
@@ -351,6 +352,75 @@ func (t *Tables[P]) LookupInto(q P, buf []*Bucket) []*Bucket {
 		}
 	}
 	return bs
+}
+
+// Keys is one query's precomputed bucket keys across the L tables:
+// table t probes Keys[Ends[t-1]:Ends[t]] (with Ends[-1] = 0), so
+// len(Ends) = L. Classic LSH has one key per table; multi-probe LSH has
+// the home key followed by the probe keys. Computing Keys once and
+// looking them up in several Tables that share one drawn function set
+// is how a sharded index hashes each query once.
+type Keys struct {
+	Keys []uint64
+	Ends []int
+}
+
+// Reset empties ks, keeping its capacity.
+func (ks *Keys) Reset() { ks.Keys, ks.Ends = ks.Keys[:0], ks.Ends[:0] }
+
+// EndTable closes the current table's run of keys.
+func (ks *Keys) EndTable() { ks.Ends = append(ks.Ends, len(ks.Keys)) }
+
+// Hashers returns each table's hash function, indexed by table (a
+// fresh slice over the shared, immutable hashers).
+func (t *Tables[P]) Hashers() []Hasher[P] {
+	hs := make([]Hasher[P], len(t.tables))
+	for i := range t.tables {
+		hs[i] = t.tables[i].Hasher
+	}
+	return hs
+}
+
+// LookupKeys is LookupInto over precomputed keys: it collects the
+// non-empty buckets ks names, table by table, reusing buf's backing
+// array. ks must hold one run of keys per table (len(ks.Ends) = L).
+func (t *Tables[P]) LookupKeys(ks *Keys, buf []*Bucket) []*Bucket {
+	bs := buf[:0]
+	if cap(bs) == 0 {
+		bs = make([]*Bucket, 0, len(ks.Keys))
+	}
+	from := 0
+	for i, to := range ks.Ends {
+		buckets := t.tables[i].Buckets
+		for _, k := range ks.Keys[from:to] {
+			if b := buckets[k]; b != nil {
+				bs = append(bs, b)
+			}
+		}
+		from = to
+	}
+	return bs
+}
+
+// ShareHashers makes t use from's hash functions when both drew the
+// same ones: if every table's hasher equals from's table's by value, t's
+// hashers are replaced by from's (pointer-identical afterwards, so
+// callers can detect the sharing with ==) and ShareHashers reports
+// true; otherwise t is left unchanged. It must run before t serves any
+// query.
+func (t *Tables[P]) ShareHashers(from *Tables[P]) bool {
+	if len(t.tables) != len(from.tables) {
+		return false
+	}
+	for i := range t.tables {
+		if !reflect.DeepEqual(t.tables[i].Hasher, from.tables[i].Hasher) {
+			return false
+		}
+	}
+	for i := range t.tables {
+		t.tables[i].Hasher = from.tables[i].Hasher
+	}
+	return true
 }
 
 // Collisions returns Σ|bucket| over bs — the paper's #collisions term,

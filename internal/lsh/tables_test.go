@@ -388,3 +388,51 @@ func TestLookupIntoReusesScratch(t *testing.T) {
 		t.Fatalf("reused LookupInto found %d buckets, want %d", got, want)
 	}
 }
+
+// TestLookupKeysMatchesLookup: looking up precomputed keys — one per
+// table, from each table's hasher — finds exactly Lookup's buckets.
+func TestLookupKeysMatchesLookup(t *testing.T) {
+	pts := randomBinaries(300, 64, 31)
+	tb := mustBuild(t, pts, Params{K: 4, L: 9, HLLRegisters: 32, Seed: 32})
+	var ks Keys
+	for qi, q := range randomBinaries(40, 64, 33) {
+		ks.Reset()
+		for _, h := range tb.Hashers() {
+			ks.Keys = append(ks.Keys, h.Key(q))
+			ks.EndTable()
+		}
+		if got, want := tb.LookupKeys(&ks, nil), tb.Lookup(q); !slices.Equal(got, want) {
+			t.Fatalf("query %d: LookupKeys found %d buckets, Lookup %d", qi, len(got), len(want))
+		}
+	}
+}
+
+// TestShareHashers: tables drawn from one seed are made to use the
+// other's hasher objects; tables drawn from another seed are left alone.
+func TestShareHashers(t *testing.T) {
+	pts := randomBinaries(200, 64, 34)
+	p := Params{K: 4, L: 6, HLLRegisters: 32, Seed: 35}
+	a, b := mustBuild(t, pts[:100], p), mustBuild(t, pts[100:], p)
+	p.Seed++
+	c := mustBuild(t, pts[100:], p)
+
+	if c.ShareHashers(a) {
+		t.Fatal("tables drawn from another seed shared hashers")
+	}
+	if slices.Equal(c.Hashers(), a.Hashers()) {
+		t.Fatal("refused ShareHashers still aliased hashers")
+	}
+	if slices.Equal(b.Hashers(), a.Hashers()) {
+		t.Fatal("separately built tables alias hashers before ShareHashers")
+	}
+	before := b.Lookup(pts[150])
+	if !b.ShareHashers(a) {
+		t.Fatal("tables drawn from one seed did not share hashers")
+	}
+	if !slices.Equal(b.Hashers(), a.Hashers()) {
+		t.Fatal("ShareHashers did not alias every table's hasher")
+	}
+	if after := b.Lookup(pts[150]); !slices.Equal(after, before) {
+		t.Fatal("sharing hashers changed a lookup")
+	}
+}

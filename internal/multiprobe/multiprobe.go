@@ -16,7 +16,7 @@
 // distinct candidate count saturates.
 //
 // Index wraps a core.Index and reuses its decision and search machinery
-// over the probed bucket set (core.Index.QueryBuckets), so the hybrid
+// over the probed bucket set (core.Index.QueryKeys), so the hybrid
 // semantics — short-circuits, cost model, dedup search, linear fallback —
 // are identical to the plain index's by construction. It satisfies
 // core.Store, which is what lets shard.Sharded fan out, tombstone,
@@ -27,6 +27,7 @@ package multiprobe
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -90,10 +91,9 @@ type Config struct {
 // single-writer, exactly like core.Index (wrap in shard.Sharded for
 // concurrent mutation).
 type Index struct {
-	ix      *core.Index[vector.Dense]
-	probes  int
-	hashers []*lsh.PStableHasher
-	states  sync.Pool // *probeState
+	ix     *core.Index[vector.Dense]
+	probes int
+	states sync.Pool // *probeState
 }
 
 // probeState is the per-query lookup scratch: the probed-bucket slice
@@ -102,7 +102,7 @@ type Index struct {
 // target) is the wrapped core index's own pool.
 type probeState struct {
 	buckets []*lsh.Bucket
-	keys    []uint64
+	keys    lsh.Keys
 }
 
 // New builds the index. It returns an error on invalid configuration.
@@ -159,15 +159,12 @@ func FromCore(ix *core.Index[vector.Dense], probes int) (*Index, error) {
 	if probes < 1 {
 		return nil, fmt.Errorf("multiprobe: FromCore probes = %d, want >= 1", probes)
 	}
-	hashers := make([]*lsh.PStableHasher, ix.L())
-	for j := range hashers {
-		h, ok := ix.Tables().Table(j).Hasher.(*lsh.PStableHasher)
-		if !ok {
+	for j := 0; j < ix.L(); j++ {
+		if _, ok := ix.Tables().Table(j).Hasher.(*lsh.PStableHasher); !ok {
 			return nil, fmt.Errorf("multiprobe: table %d hasher is %T, want *lsh.PStableHasher", j, ix.Tables().Table(j).Hasher)
 		}
-		hashers[j] = h
 	}
-	mp := &Index{ix: ix, probes: probes, hashers: hashers}
+	mp := &Index{ix: ix, probes: probes}
 	mp.states.New = func() any { return &probeState{} }
 	return mp, nil
 }
@@ -175,6 +172,9 @@ func FromCore(ix *core.Index[vector.Dense], probes int) (*Index, error) {
 // Core exposes the wrapped plain index (read-only by convention). It
 // exists for serialization and white-box tests.
 func (ix *Index) Core() *core.Index[vector.Dense] { return ix.ix }
+
+// Tables exposes the wrapped index's LSH structure (read-only).
+func (ix *Index) Tables() *lsh.Tables[vector.Dense] { return ix.ix.Tables() }
 
 // N returns the number of indexed points.
 func (ix *Index) N() int { return ix.ix.N() }
@@ -207,37 +207,61 @@ func (ix *Index) Cost() core.CostModel { return ix.ix.Cost() }
 // the model is Usable.
 func (ix *Index) SetCost(c core.CostModel) error { return ix.ix.SetCost(c) }
 
-// resolve maps a per-call probe override to the effective T (t < 0
-// means the configured default).
-func (ix *Index) resolve(t int) int {
-	if t < 0 {
-		return ix.probes
-	}
-	return t
+// probeKeyer is the multi-probe Keyer: per table, the home key followed
+// by the T most promising probe keys (ProbeKeysInto), where T is the
+// per-call override or, for o < 0, the configured default.
+type probeKeyer struct {
+	hashers []*lsh.PStableHasher
+	probes  int
 }
 
-// lookupInto collects the home and probe buckets of q across all tables
-// into st's pooled scratch. The result aliases st.buckets and must not
-// be retained past the state's release.
-func (ix *Index) lookupInto(q vector.Dense, t int, st *probeState) []*lsh.Bucket {
-	out := st.buckets[:0]
-	tables := ix.ix.Tables()
-	for j, h := range ix.hashers {
-		st.keys = ProbeKeysInto(h, q, t, st.keys[:0])
-		buckets := tables.Table(j).Buckets
-		for _, key := range st.keys {
-			if b := buckets[key]; b != nil {
-				out = append(out, b)
-			}
-		}
+func (k probeKeyer) Keys(q vector.Dense, o int, ks *lsh.Keys) {
+	t := o
+	if t < 0 {
+		t = k.probes
 	}
-	st.buckets = out
-	return out
+	ks.Reset()
+	for _, h := range k.hashers {
+		ks.Keys = ProbeKeysInto(h, q, t, ks.Keys)
+		ks.EndTable()
+	}
+}
+
+func (k probeKeyer) Shares(other core.Keyer[vector.Dense]) bool {
+	o, ok := other.(probeKeyer)
+	return ok && o.probes == k.probes && slices.Equal(k.hashers, o.hashers)
+}
+
+// Keyer implements core.Store: the probe sequences of the drawn
+// p-stable hashers at the configured T (FromCore checked the type).
+func (ix *Index) Keyer() core.Keyer[vector.Dense] {
+	tables := ix.ix.Tables()
+	k := probeKeyer{hashers: make([]*lsh.PStableHasher, tables.L()), probes: ix.probes}
+	for j := range k.hashers {
+		k.hashers[j] = tables.Table(j).Hasher.(*lsh.PStableHasher)
+	}
+	return k
+}
+
+// QueryKeys implements core.Store: the hybrid answer over the home and
+// probe buckets ks names (the probe count is already in the keys).
+func (ix *Index) QueryKeys(q vector.Dense, ks *lsh.Keys, o int) ([]int32, core.QueryStats) {
+	return ix.ix.QueryKeys(q, ks, o)
+}
+
+// lookupInto collects the home and t probe buckets of q across all
+// tables (t < 0 means the configured default) into st's pooled scratch.
+// The result aliases st.buckets and must not be retained past the
+// state's release.
+func (ix *Index) lookupInto(q vector.Dense, t int, st *probeState) []*lsh.Bucket {
+	ix.Keyer().Keys(q, t, &st.keys)
+	st.buckets = ix.ix.Tables().LookupKeys(&st.keys, st.buckets)
+	return st.buckets
 }
 
 // Lookup returns the home and probe buckets of q across all tables.
 func (ix *Index) Lookup(q vector.Dense) []*lsh.Bucket {
-	return ix.lookupInto(q, ix.probes, &probeState{})
+	return ix.lookupInto(q, -1, &probeState{})
 }
 
 // Query answers one rNNR query with the hybrid strategy over the
@@ -256,10 +280,10 @@ func (ix *Index) QueryProbes(q vector.Dense, t int) ([]int32, core.QueryStats) {
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
-	lookup := time.Since(t0)
-	out, stats := ix.ix.QueryBuckets(q, buckets)
-	stats.EstimateTime += lookup
+	ix.Keyer().Keys(q, t, &st.keys)
+	hash := time.Since(t0)
+	out, stats := ix.ix.QueryKeys(q, &st.keys, t)
+	stats.EstimateTime += hash
 	return out, stats
 }
 
@@ -275,7 +299,7 @@ func (ix *Index) QueryLSHProbes(q vector.Dense, t int) ([]int32, core.QueryStats
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
+	buckets := ix.lookupInto(q, t, st)
 	lookup := time.Since(t0)
 	out, stats := ix.ix.QueryBucketsLSH(q, buckets)
 	stats.EstimateTime += lookup
@@ -300,7 +324,7 @@ func (ix *Index) DecideStrategyProbes(q vector.Dense, t int) (core.Strategy, cor
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
-	buckets := ix.lookupInto(q, ix.resolve(t), st)
+	buckets := ix.lookupInto(q, t, st)
 	lookup := time.Since(t0)
 	strategy, stats := ix.ix.DecideBuckets(buckets)
 	stats.EstimateTime += lookup

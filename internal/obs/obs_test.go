@@ -69,6 +69,12 @@ func TestNewQueryTrace(t *testing.T) {
 		t.Fatalf("shard 1 trace = %+v", s1)
 	}
 
+	// Hashing shared by the shards counts once, in the estimate stage.
+	st.HashTime = 10 * time.Microsecond
+	if tr := NewQueryTrace(st, core.CostModel{Alpha: 1, Beta: 1}); tr.HashUS != 10 || tr.EstimateUS != 35 {
+		t.Fatalf("hash/estimate = %v/%v, want 10/35", tr.HashUS, tr.EstimateUS)
+	}
+
 	uniform := st
 	uniform.PerShard = st.PerShard[:1]
 	uniform.LSHShards, uniform.LinearShards = 1, 0
@@ -203,6 +209,8 @@ func TestRegisterTopology(t *testing.T) {
 			ShardQueries:    []int64{7, 7},
 			ShardQueryNanos: []int64{2_000_000_000, 1_000_000_000},
 			ShardAppends:    []int64{5, 6},
+			SharedKeys:      true,
+			HashNanos:       3_000_000_000,
 		}
 	})
 	exp := parse(t, r)
@@ -210,12 +218,13 @@ func TestRegisterTopology(t *testing.T) {
 		t.Fatalf("topology fetched %d times per scrape, want 1", fetched)
 	}
 	globals := map[string]float64{
-		"hybridlsh_points_live":           40,
-		"hybridlsh_tombstones_total":      3,
-		"hybridlsh_dead_in_buckets":       2,
-		"hybridlsh_compactions_total":     1,
-		"hybridlsh_points_appended_total": 11,
-		"hybridlsh_shards":                2,
+		"hybridlsh_points_live":               40,
+		"hybridlsh_tombstones_total":          3,
+		"hybridlsh_dead_in_buckets":           2,
+		"hybridlsh_compactions_total":         1,
+		"hybridlsh_points_appended_total":     11,
+		"hybridlsh_shards":                    2,
+		"hybridlsh_shared_hash_seconds_total": 3,
 	}
 	for name, want := range globals {
 		if v, ok := exp.Value(name, nil); !ok || v != want {

@@ -148,6 +148,8 @@ func RegisterTopology(r *Registry, fetch func() shard.Stats) {
 		}))
 	r.NewGaugeFunc("hybridlsh_shards", "Shard count.",
 		read(func(s shard.Stats) float64 { return float64(s.Shards) }))
+	r.NewCounterFunc("hybridlsh_shared_hash_seconds_total", "Time spent hashing queries once for all shards (0 when shards hash on their own; that time is in hybridlsh_shard_query_seconds).",
+		read(func(s shard.Stats) float64 { return float64(s.HashNanos) / 1e9 }))
 	r.NewCounterFunc("hybridlsh_cache_hits_total", "Result-cache answers served without touching any shard (0 when the cache is disabled).",
 		read(func(s shard.Stats) float64 { return float64(s.CacheHits) }))
 	r.NewCounterFunc("hybridlsh_cache_misses_total", "Result-cache lookups that fell through to the fan-out, stale-entry evictions included.",

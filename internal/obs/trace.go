@@ -63,9 +63,13 @@ type QueryTrace struct {
 	// only).
 	Probes *int `json:"probes,omitempty"`
 	Radius *int `json:"radius,omitempty"`
-	// EstimateUS and SearchUS sum the per-shard splits; MaxShardUS is
-	// the slowest shard (the fan-out's critical path) and WallUS the
-	// end-to-end latency including merge and tombstone filtering.
+	// HashUS is the query's hashing when the shards share it (computed
+	// once, before the fan-out; 0 when every shard hashes on its own).
+	// EstimateUS sums HashUS and the per-shard estimate splits, SearchUS
+	// the per-shard search splits; MaxShardUS is the fan-out's critical
+	// path (HashUS plus the slowest shard) and WallUS the end-to-end
+	// latency including merge and tombstone filtering.
+	HashUS     float64 `json:"hash_us"`
 	EstimateUS float64 `json:"estimate_us"`
 	SearchUS   float64 `json:"search_us"`
 	MaxShardUS float64 `json:"max_shard_us"`
@@ -88,6 +92,8 @@ func NewQueryTrace(st shard.QueryStats, cost core.CostModel) *QueryTrace {
 		Results:      st.Results,
 		Alpha:        cost.Alpha,
 		Beta:         cost.Beta,
+		HashUS:       us(st.HashTime.Nanoseconds()),
+		EstimateUS:   us(st.HashTime.Nanoseconds()),
 		MaxShardUS:   us(st.MaxShardTime.Nanoseconds()),
 		WallUS:       us(st.WallTime.Nanoseconds()),
 		Shards:       make([]ShardTrace, len(st.PerShard)),

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -104,7 +105,7 @@ func readIndexSnapshot[P any](r io.Reader, metric string) (*core.Index[P], *inde
 	} else if tag == "covr" {
 		return nil, nil, fmt.Errorf("%w: snapshot holds a covering index; use the covering reader", ErrCoverMode)
 	}
-	ix, m, err := readIndexBody(ss, c)
+	ix, m, err := readIndexBody(ss, c, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,8 +224,10 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points 
 // is recorded in the returned meta's probes field for the caller to act
 // on, and a present "quan" section selects the quantization mode of the
 // point store the index is rebuilt over (the quantized copy itself is
-// refit from the exact points).
-func readIndexBody[P any](ss *sectionStream, c *codec[P]) (*core.Index[P], *indexMeta, error) {
+// refit from the exact points). A non-nil shared lets the tables reuse
+// hashers decoded earlier from byte-identical encodings (see
+// sharedHashers).
+func readIndexBody[P any](ss *sectionStream, c *codec[P], shared *sharedHashers[P]) (*core.Index[P], *indexMeta, error) {
 	payload, err := ss.read("meta")
 	if err != nil {
 		return nil, nil, err
@@ -269,6 +272,9 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P]) (*core.Index[P], *inde
 		if err != nil {
 			return nil, nil, err
 		}
+		if shared != nil {
+			hasher = shared.share(j, payload[:d.off], hasher)
+		}
 		buckets, err := readBuckets(d, m)
 		if err != nil {
 			return nil, nil, err
@@ -303,6 +309,34 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P]) (*core.Index[P], *inde
 		return nil, nil, corrupt("restoring index: %v", err)
 	}
 	return ix, m, nil
+}
+
+// sharedHashers lets the shards of one sharded snapshot reload with
+// shared hash functions: the first shard read records each table's
+// decoded hasher and its encoded bytes, and a later shard whose table-t
+// hasher bytes are byte-equal gets the recorded hasher object instead
+// of its own decoded copy. Shards built with one drawn function set
+// thus reload pointer-aliased (and hash each query once); snapshots
+// whose shards drew independent functions reload unaliased.
+type sharedHashers[P any] struct {
+	recorded bool
+	raw      [][]byte
+	hashers  []lsh.Hasher[P]
+}
+
+// share returns the hasher table t should use: h itself while the first
+// shard is being recorded or when its encoding raw differs from the
+// first shard's, the first shard's hasher otherwise.
+func (s *sharedHashers[P]) share(t int, raw []byte, h lsh.Hasher[P]) lsh.Hasher[P] {
+	if !s.recorded {
+		s.raw = append(s.raw, bytes.Clone(raw))
+		s.hashers = append(s.hashers, h)
+		return h
+	}
+	if t < len(s.raw) && bytes.Equal(s.raw[t], raw) {
+		return s.hashers[t]
+	}
+	return h
 }
 
 // ---- meta section ----

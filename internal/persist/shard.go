@@ -213,7 +213,11 @@ func readTombSection(ss *sectionStream, nextID int32) ([]int32, error) {
 // metric, and reassembles the sharded index: per-shard hash functions,
 // buckets and sketches are restored exactly, the global id space keeps
 // its tombstone holes, and appends continue from the saved high-water
-// id mark. A snapshot carrying a "prob" section comes back as
+// id mark. A shard whose table-t hasher encodes byte-identically to
+// shard 0's reuses shard 0's decoded hasher, so a snapshot of shards
+// sharing one function set reloads shared (and hashes each query once);
+// older snapshots with per-shard functions reload per-shard and answer
+// exactly as before. A snapshot carrying a "prob" section comes back as
 // multi-probe shards with the saved T (Meta.Probes reports it).
 func ReadSharded[P any](r io.Reader, metric string) (*shard.Sharded[P], Meta, error) {
 	c, err := codecFor[P](metric)
@@ -268,6 +272,7 @@ func ReadSharded[P any](r io.Reader, metric string) (*shard.Sharded[P], Meta, er
 	shards := make([]shard.ShardSnapshot[P], nshards)
 	live := 0
 	var first *indexMeta
+	shared := &sharedHashers[P]{}
 	for j := range shards {
 		payload, err = ss.read("sids")
 		if err != nil {
@@ -282,10 +287,11 @@ func ReadSharded[P any](r io.Reader, metric string) (*shard.Sharded[P], Meta, er
 		if err := d.done("sids"); err != nil {
 			return nil, Meta{}, err
 		}
-		ix, m, err := readIndexBody(ss, c)
+		ix, m, err := readIndexBody(ss, c, shared)
 		if err != nil {
 			return nil, Meta{}, err
 		}
+		shared.recorded = true
 		if m.probes != 0 {
 			return nil, Meta{}, corrupt("shard %d carries its own probe section; the probe config is structure-level", j)
 		}

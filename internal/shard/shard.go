@@ -16,6 +16,21 @@
 // core.Index.Append. Queries therefore report the same id universe as
 // the unsharded index, which is what the equivalence tests assert.
 //
+// # Hashing once per query
+//
+// New hands every shard the caller's seed, so all shards draw the one
+// function set an unsharded index with that seed draws, and New aliases
+// the value-identical hashers so every shard's table t holds shard 0's
+// hasher object. When every shard's Keyer Shares shard 0's (New and
+// Restore check this once), a query is hashed once — shard 0's Keyer
+// computes the L keys (or the (T+1)·L probe keys) — and every shard
+// answers from those keys through core.Store.QueryKeys. Stores that do
+// not share (snapshots written before shards shared functions, covering
+// shards) take the same path with each shard computing its own keys.
+// Per-point guarantees are unchanged, because each point lives in
+// exactly one shard; the forced-LSH union over shared shards equals the
+// unsharded index's LSH answer id for id.
+//
 // # Deletes and compaction
 //
 // Delete only tombstones: the deleted ids vanish from reports
@@ -43,15 +58,16 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hashutil"
+	"repro/internal/lsh"
 	"repro/internal/pointstore"
 )
 
 // Builder constructs one shard's index from its point subset. Any
 // core.Store implementation works — *core.Index for the classic hybrid
-// index, multiprobe.Index for multi-probe shards. seed is pre-mixed per
-// shard so the S sub-indexes draw independent hash functions; builders
-// should pass it through to their index's construction seed.
+// index, multiprobe.Index for multi-probe shards. seed is the caller's
+// seed, the same for every shard; builders should pass it through to
+// their index's construction seed so all shards draw the same hash
+// functions, which lets New share them and hash each query once.
 type Builder[P any] func(points []P, seed uint64) (core.Store[P], error)
 
 // shardState is one partition: the immutable-under-RLock index and
@@ -64,6 +80,9 @@ type shardState[P any] struct {
 	ix        core.Store[P]
 	ids       []int32 // ids[local] = global id
 	compactMu sync.Mutex
+	// keyer is ix's key computation, fixed at construction: compaction
+	// and appends keep the hash functions, so it is read without mu.
+	keyer core.Keyer[P]
 
 	// gen counts mutations of this shard's answer set — Append, Compact,
 	// Delete of an id it owns, and cost-model swaps (a strategy flip can
@@ -98,11 +117,19 @@ type Sharded[P any] struct {
 	// probing records whether every shard implements core.ProbeQuerier,
 	// radiusCapable whether every shard implements core.RadiusQuerier.
 	// Both are fixed at construction (compaction preserves each shard's
-	// concrete index type); requiring all shards keeps the override
-	// fan-outs' type assertions safe even against a hand-assembled
-	// Restore mixing index kinds.
+	// concrete index type); requiring all shards means an override only
+	// ever reaches stores that interpret it, even in a hand-assembled
+	// Restore mixing index kinds (the fan-out passes it to every shard's
+	// Keyer and QueryKeys).
 	probing       bool
 	radiusCapable bool
+	// sharedKeys records whether every shard's Keyer Shares shard 0's,
+	// so a query's keys are computed once for all shards. Fixed at
+	// construction like the flags above.
+	sharedKeys bool
+	// hashNanos sums the time spent computing shared keys — hashing that
+	// no single shard's queryNanos owns.
+	hashNanos atomic.Int64
 
 	// appendMu serializes appends (target selection + id allocation);
 	// nextID is atomic so readers (N, Delete, Stats) never block behind
@@ -216,16 +243,12 @@ func (s *Sharded[P]) SetJournal(j Journal[P]) {
 	s.journal = j
 }
 
-// shardSeed derives the construction seed of shard i so that shards draw
-// independent hash functions while the whole structure stays
-// deterministic in the caller's seed.
-func shardSeed(seed uint64, i int) uint64 {
-	return hashutil.Mix64(seed ^ (0x9e3779b97f4a7c15 * uint64(i+1)))
-}
-
 // New partitions points round-robin across s shards and builds the
-// sub-indexes in parallel via build. s is clamped to len(points) so every
-// shard is non-empty; it must be >= 1 and points must be non-empty.
+// sub-indexes in parallel via build, handing each the caller's seed.
+// Shards whose builders drew the same hash functions as shard 0 are
+// then made to use shard 0's hasher objects, so queries hash once (see
+// the package doc). s is clamped to len(points) so every shard is
+// non-empty; it must be >= 1 and points must be non-empty.
 func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], error) {
 	if s < 1 {
 		return nil, fmt.Errorf("shard: New with %d shards, want >= 1", s)
@@ -265,7 +288,7 @@ func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], 
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			ix, err := build(parts[j], shardSeed(seed, j))
+			ix, err := build(parts[j], seed)
 			if err != nil {
 				errs[j] = fmt.Errorf("shard %d: %w", j, err)
 				return
@@ -279,21 +302,40 @@ func New[P any](points []P, s int, seed uint64, build Builder[P]) (*Sharded[P], 
 			return nil, err
 		}
 	}
-	sh.setProbing()
+	if t0, ok := sh.shards[0].ix.(tabled[P]); ok {
+		for _, st := range sh.shards[1:] {
+			if tj, ok := st.ix.(tabled[P]); ok {
+				tj.Tables().ShareHashers(t0.Tables())
+			}
+		}
+	}
+	sh.setCapabilities()
 	return sh, nil
 }
 
-// setProbing records whether every shard supports probe overrides and
-// whether every shard supports radius overrides.
-func (s *Sharded[P]) setProbing() {
+// tabled is implemented by stores whose buckets live in lsh.Tables
+// (core.Index, multiprobe.Index); New aliases their hashers.
+type tabled[P any] interface {
+	Tables() *lsh.Tables[P]
+}
+
+// setCapabilities records whether every shard supports probe overrides,
+// whether every shard supports radius overrides, each shard's Keyer, and
+// whether all shards share shard 0's keys.
+func (s *Sharded[P]) setCapabilities() {
 	s.probing = true
 	s.radiusCapable = true
+	s.sharedKeys = true
 	for _, st := range s.shards {
 		if _, ok := st.ix.(core.ProbeQuerier[P]); !ok {
 			s.probing = false
 		}
 		if _, ok := st.ix.(core.RadiusQuerier[P]); !ok {
 			s.radiusCapable = false
+		}
+		st.keyer = st.ix.Keyer()
+		if !st.keyer.Shares(s.shards[0].keyer) {
+			s.sharedKeys = false
 		}
 	}
 }
@@ -398,7 +440,7 @@ func Restore[P any](shards []ShardSnapshot[P], nextID int32, tombstones []int32)
 		sh.shards[j] = &shardState[P]{ix: v.Index, ids: v.IDs}
 	}
 	sh.nextID.Store(nextID)
-	sh.setProbing()
+	sh.setCapabilities()
 	return sh, nil
 }
 
@@ -426,9 +468,13 @@ type QueryStats struct {
 	// Collisions, Candidates and Results are summed over shards. Results
 	// counts ids after tombstone filtering.
 	Collisions, Candidates, Results int
-	// MaxShardTime is the slowest shard's estimate+search time — the
-	// fan-out's critical path. TotalShardTime is the sum over shards, the
-	// CPU cost of the query.
+	// HashTime is the time spent computing the query's bucket keys once
+	// for all shards; zero when the shards hash on their own (then each
+	// shard's EstimateTime includes its hashing, as in core.Index.Query).
+	HashTime time.Duration
+	// MaxShardTime is the fan-out's critical path: HashTime plus the
+	// slowest shard's estimate+search time. TotalShardTime is the CPU
+	// cost of the query: HashTime plus the sum over shards.
 	MaxShardTime, TotalShardTime time.Duration
 	// WallTime is the end-to-end latency including merge and filtering.
 	WallTime time.Duration
@@ -439,9 +485,7 @@ type QueryStats struct {
 // (distinct, unordered) with aggregated stats.
 func (s *Sharded[P]) Query(q P) ([]int32, QueryStats) {
 	return s.cached("q:", q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.Query(q)
-		})
+		return s.fanOut(q, -1)
 	})
 }
 
@@ -455,9 +499,7 @@ func (s *Sharded[P]) QueryProbes(q P, t int) ([]int32, QueryStats, error) {
 		return nil, QueryStats{}, fmt.Errorf("shard: QueryProbes on shards without multi-probe support")
 	}
 	ids, stats := s.cached(fmt.Sprintf("p%d:", t), q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.(core.ProbeQuerier[P]).QueryProbes(q, t)
-		})
+		return s.fanOut(q, t)
 	})
 	return ids, stats, nil
 }
@@ -522,9 +564,7 @@ func (s *Sharded[P]) QueryRadius(q P, r int) ([]int32, QueryStats, error) {
 		return nil, QueryStats{}, fmt.Errorf("shard: QueryRadius on shards without radius-override support")
 	}
 	ids, stats := s.cached(fmt.Sprintf("r%d:", r), q, func() ([]int32, QueryStats) {
-		return s.fanOut(q, func(ix core.Store[P], q P) ([]int32, core.QueryStats) {
-			return ix.(core.RadiusQuerier[P]).QueryRadius(q, r)
-		})
+		return s.fanOut(q, r)
 	})
 	return ids, stats, nil
 }
@@ -550,21 +590,45 @@ func (s *Sharded[P]) QueryBatchRadius(queries []P, workers, r int) ([]BatchResul
 	return results, nil
 }
 
-// fanOut runs one per-shard query function across all shards in
-// parallel and merges the results (the shared body of Query and
-// QueryProbes).
-func (s *Sharded[P]) fanOut(q P, run func(ix core.Store[P], q P) ([]int32, core.QueryStats)) ([]int32, QueryStats) {
+// keysPool recycles the per-query key buffers of fanOut.
+var keysPool = sync.Pool{New: func() any { return new(lsh.Keys) }}
+
+// fanOut answers q on every shard in parallel and merges the results
+// (the shared body of Query, QueryProbes and QueryRadius, whose override
+// o is passed to the Keyers and to QueryKeys; -1 for plain Query). With
+// shared keys it hashes q once, before the fan-out; otherwise every
+// shard computes its own keys through the same QueryKeys entry point.
+func (s *Sharded[P]) fanOut(q P, o int) ([]int32, QueryStats) {
 	t0 := time.Now()
 	stats := QueryStats{PerShard: make([]core.QueryStats, len(s.shards))}
 	parts := make([][]int32, len(s.shards))
+
+	var shared *lsh.Keys
+	if s.sharedKeys {
+		shared = keysPool.Get().(*lsh.Keys)
+		defer keysPool.Put(shared)
+		th := time.Now()
+		s.shards[0].keyer.Keys(q, o, shared)
+		stats.HashTime = time.Since(th)
+		s.hashNanos.Add(int64(stats.HashTime))
+	}
 
 	var wg sync.WaitGroup
 	for j, st := range s.shards {
 		wg.Add(1)
 		go func(j int, st *shardState[P]) {
 			defer wg.Done()
+			ks, hash := shared, time.Duration(0)
+			if ks == nil {
+				ks = keysPool.Get().(*lsh.Keys)
+				defer keysPool.Put(ks)
+				th := time.Now()
+				st.keyer.Keys(q, o, ks)
+				hash = time.Since(th)
+			}
 			st.mu.RLock()
-			local, qs := run(st.ix, q)
+			local, qs := st.ix.QueryKeys(q, ks, o)
+			qs.EstimateTime += hash
 			global := make([]int32, len(local))
 			for i, id := range local {
 				global[i] = st.ids[id]
@@ -591,6 +655,8 @@ func (s *Sharded[P]) fanOut(q P, run func(ix core.Store[P], q P) ([]int32, core.
 			stats.MaxShardTime = t
 		}
 	}
+	stats.MaxShardTime += stats.HashTime
+	stats.TotalShardTime += stats.HashTime
 
 	out := s.mergeLive(parts)
 	stats.Results = len(out)
@@ -1095,6 +1161,12 @@ type Stats struct {
 	ShardQueries    []int64
 	ShardQueryNanos []int64
 	ShardAppends    []int64
+	// SharedKeys reports whether the shards share one drawn function
+	// set, so each query is hashed once for all shards (see the package
+	// doc); HashNanos then sums that shared hashing time, which belongs
+	// to no single shard's ShardQueryNanos.
+	SharedKeys bool
+	HashNanos  int64
 	// CacheEnabled reports whether a result cache is installed (see
 	// EnableCache); the remaining cache fields are zero when it is not.
 	// CacheHits counts answers served without touching any shard,
@@ -1121,6 +1193,8 @@ func (s *Sharded[P]) Stats() Stats {
 		ShardQueries:    make([]int64, len(s.shards)),
 		ShardQueryNanos: make([]int64, len(s.shards)),
 		ShardAppends:    make([]int64, len(s.shards)),
+		SharedKeys:      s.sharedKeys,
+		HashNanos:       s.hashNanos.Load(),
 	}
 	for j, sh := range s.shards {
 		st.ShardQueries[j] = sh.queries.Load()

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/distance"
@@ -83,7 +84,11 @@ func TestQueryMatchesUnsharded(t *testing.T) {
 	if got := sh.N(); got != n {
 		t.Fatalf("N() = %d, want %d", got, n)
 	}
+	if !sh.Stats().SharedKeys {
+		t.Fatal("shards built from one seed do not share keys")
+	}
 
+	var hashed time.Duration
 	for qi, q := range queries {
 		truth := core.GroundTruth(points, distance.L2, q, radius)
 		flatIDs, _ := flat.Query(q)
@@ -106,6 +111,19 @@ func TestQueryMatchesUnsharded(t *testing.T) {
 		if st.MaxShardTime > st.TotalShardTime {
 			t.Errorf("query %d: MaxShardTime %v exceeds TotalShardTime %v", qi, st.MaxShardTime, st.TotalShardTime)
 		}
+		// The shared hashing is timed once and counted once in the
+		// critical path and in the query's CPU cost.
+		total := st.HashTime
+		for _, ps := range st.PerShard {
+			total += ps.TotalTime()
+		}
+		if st.HashTime <= 0 || st.MaxShardTime < st.HashTime || st.TotalShardTime != total {
+			t.Errorf("query %d: HashTime %v, MaxShardTime %v, TotalShardTime %v (want %v)", qi, st.HashTime, st.MaxShardTime, st.TotalShardTime, total)
+		}
+		hashed += st.HashTime
+	}
+	if got := time.Duration(sh.Stats().HashNanos); got != hashed {
+		t.Errorf("Stats().HashNanos = %v, want the queries' summed HashTime %v", got, hashed)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lsh"
 )
 
 // Harness describes one store implementation under test.
@@ -90,6 +91,7 @@ func Run[P any](t *testing.T, h Harness[P]) {
 		t.Run("AppendEmptyIsNoop", h.testAppendEmpty)
 		t.Run("QueryBatchAlignment", h.testQueryBatchAlignment)
 		t.Run("DecideStrategyConsistent", h.testDecideStrategy)
+		t.Run("QueryKeysMatchesQuery", h.testQueryKeys)
 		t.Run("CompactStore", h.testCompactStore)
 		t.Run("CompactStoreRejectsBadLength", h.testCompactBadLength)
 		t.Run("SetCostSwaps", h.testSetCostSwaps)
@@ -117,6 +119,45 @@ func sorted(ids []int32) []int32 {
 	out := append([]int32(nil), ids...)
 	slices.Sort(out)
 	return out
+}
+
+// testQueryKeys pins the keyed entry point the shard layer answers
+// through: QueryKeys over the store's own Keyer's keys answers exactly
+// like Query, and a Keyer taken before Append and CompactStore still
+// serves the grown and the compacted store (they keep the drawn hash
+// functions), which is what lets the shard layer fix each shard's
+// Keyer at construction.
+func (h Harness[P]) testQueryKeys(t *testing.T) {
+	data := h.Data(160, 9)
+	st := h.New(t, data[:140], 7)
+	keyer := st.Keyer()
+	check := func(stage string, st core.Store[P]) {
+		t.Helper()
+		var ks lsh.Keys
+		for qi, q := range h.queries(data) {
+			keyer.Keys(q, -1, &ks)
+			got, gstats := st.QueryKeys(q, &ks, -1)
+			want, wstats := st.Query(q)
+			if !slices.Equal(sorted(got), sorted(want)) || gstats.Strategy != wstats.Strategy {
+				t.Fatalf("%s query %d: QueryKeys %d ids (%v), Query %d ids (%v)",
+					stage, qi, len(got), gstats.Strategy, len(want), wstats.Strategy)
+			}
+		}
+	}
+	check("built", st)
+	if err := st.Append(data[140:]); err != nil {
+		t.Fatal(err)
+	}
+	check("appended", st)
+	dead := make([]bool, st.N())
+	for i := 0; i < len(dead); i += 3 {
+		dead[i] = true
+	}
+	cs, err := st.CompactStore(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("compacted", cs)
 }
 
 func (h Harness[P]) testPointsAligned(t *testing.T) {

@@ -16,8 +16,9 @@ import (
 // id-for-id identically to the saved one — same hashes, same sketches,
 // same hybrid strategy decisions — without re-hashing a single point.
 //
-// Sharded snapshots additionally preserve each shard's independent hash
-// functions and the global id space: tombstoned points are compacted
+// Sharded snapshots additionally preserve each shard's hash functions
+// (shards sharing one drawn set reload sharing it, so queries stay
+// hashed once) and the global id space: tombstoned points are compacted
 // out of the stored shards but their ids stay reserved, so deleted ids
 // remain deleted (and are never reused) after a reload, and Append
 // continues from the saved high-water mark. Compaction shrinks the

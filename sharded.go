@@ -23,9 +23,10 @@ type ShardStats = shard.Stats
 // queries by parallel fan-out. Unlike L2Index it is safe for concurrent
 // mutation: Append write-locks a single shard while the others keep
 // serving, and Delete tombstones ids without touching the tables. On the
-// same point slice it shares L2Index's id universe (point i keeps id i);
-// reported sets agree up to the per-point δ failure probability, since
-// the shards draw independent hash functions.
+// same point slice and seed it shares L2Index's id universe (point i
+// keeps id i) and its drawn hash functions: every shard uses the one
+// function set L2Index draws, so the shards' LSH answers together are
+// L2Index's LSH answer, and each query is hashed once for all shards.
 //
 // Deleted points are compacted out of a shard's buckets — keeping the
 // drawn hash functions, rebuilding the sketches from live ids —
@@ -37,8 +38,8 @@ type ShardedL2Index struct{ *shard.Sharded[Dense] }
 
 // NewShardedL2Index builds a sharded hybrid L2 index for radius r. The
 // shard count comes from WithShards (default 4, clamped to len(points));
-// all other options apply to every shard, except that each shard draws
-// independent hash functions from the WithSeed seed.
+// all options, the WithSeed seed included, apply to every shard, so all
+// shards share the one drawn function set and a query is hashed once.
 func NewShardedL2Index(points []Dense, r float64, opts ...Option) (*ShardedL2Index, error) {
 	o := applyOptions(opts)
 	if len(points) == 0 {
