@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/vector"
 )
 
 // scrapeMetrics GETs /metrics and parses the exposition, failing the
@@ -80,6 +81,9 @@ func TestMetricsMatchStats(t *testing.T) {
 			} `json:"lsh_ns_per_cost"`
 			TimeRatio float64 `json:"time_ratio"`
 		} `json:"drift"`
+		Store struct {
+			Kernel string `json:"kernel"`
+		} `json:"store"`
 	}
 	get(t, ts.URL+"/stats", &st)
 	const want = single + batched
@@ -126,6 +130,13 @@ func TestMetricsMatchStats(t *testing.T) {
 	}
 	if v, ok := exp.Value("hybridlsh_info", map[string]string{"metric": "l2", "mode": "classic"}); !ok || v != 1 {
 		t.Fatalf("hybridlsh_info = %v, %v", v, ok)
+	}
+	// The L2 stores report the host's distance kernel in both places.
+	if st.Store.Kernel != vector.L2Kernel() {
+		t.Fatalf("stats store.kernel = %q, want %q", st.Store.Kernel, vector.L2Kernel())
+	}
+	if v, ok := exp.Value("hybridlsh_store_kernel_info", map[string]string{"kernel": vector.L2Kernel()}); !ok || v != 1 {
+		t.Fatalf("hybridlsh_store_kernel_info{kernel=%q} = %v, %v", vector.L2Kernel(), v, ok)
 	}
 
 	// Drift: the estimate-error histogram and /stats drift block draw
@@ -318,6 +329,10 @@ func TestMetricsOnModeBackends(t *testing.T) {
 	}
 	if v, ok := exp2.Value("hybridlsh_info", map[string]string{"metric": "hamming", "mode": "covering"}); !ok || v != 1 {
 		t.Fatalf("covering hybridlsh_info = %v, %v", v, ok)
+	}
+	// Hamming stores have no assembly kernel.
+	if v, ok := exp2.Value("hybridlsh_store_kernel_info", map[string]string{"kernel": "generic"}); !ok || v != 1 {
+		t.Fatalf("covering hybridlsh_store_kernel_info{kernel=generic} = %v, %v", v, ok)
 	}
 }
 

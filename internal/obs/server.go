@@ -177,6 +177,11 @@ func RegisterTopology(r *Registry, fetch func() shard.Stats) {
 	r.NewGaugeFunc("hybridlsh_store_quant_bytes", "Bytes held by the scalar-quantized point copies (0 when quantization is off).",
 		read(func(s shard.Stats) float64 { return float64(s.Store.QuantBytes) }))
 
+	// Which distance kernel verification runs on: a server that lost
+	// its AVX2 kernel answers identically, only several times slower per
+	// candidate, so the fallback is exposed rather than left silent.
+	kernel := r.NewGaugeVec("hybridlsh_store_kernel_info", "Distance kernel the point stores verify with (always 1); kernel is \"avx2\" or \"generic\".", "kernel")
+
 	points := r.NewGaugeVec("hybridlsh_shard_points", "Points in the shard's buckets, tombstoned included.", "shard")
 	dead := r.NewGaugeVec("hybridlsh_shard_dead", "Tombstoned-but-still-bucketed points in the shard.", "shard")
 	compactions := r.NewGaugeVec("hybridlsh_shard_compactions", "Completed compactions of the shard.", "shard")
@@ -189,6 +194,9 @@ func RegisterTopology(r *Registry, fetch func() shard.Stats) {
 		mu.Lock()
 		last = s
 		mu.Unlock()
+		if s.Store.Kernel != "" {
+			kernel.With(s.Store.Kernel).Set(1)
+		}
 		for j := 0; j < s.Shards; j++ {
 			l := shardLabel(j)
 			points.With(l).Set(float64(s.ShardSizes[j]))

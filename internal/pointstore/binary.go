@@ -162,6 +162,7 @@ func (s *FlatBinary) ScanRadius(q vector.Binary, r float64, out []int32) []int32
 func (s *FlatBinary) Stats() Stats {
 	return Stats{
 		Layout:   "flat",
+		Kernel:   "generic",
 		Quant:    ModeOff.String(),
 		Points:   s.n,
 		Verified: s.verified.Load(),

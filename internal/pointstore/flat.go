@@ -21,7 +21,7 @@ const qslack = 1e-3
 // FlatL2 stores Dense points struct-of-arrays: one contiguous []float32
 // of n rows × dim columns, plus id-aligned aliasing Dense headers for
 // the Slice/At accessors. Radius verification compares squared distances
-// against r² with the unrolled vector.L2Sq kernels — no per-candidate
+// against r² with the batch kernel vector.L2SqToMany — no per-candidate
 // math.Sqrt, no pointer chase per point. With ModeSQ8 it additionally
 // keeps a scalar-quantized copy (per-dimension min/max, one uint8 code
 // per coordinate — a 4× smaller working set) and classifies candidates
@@ -399,89 +399,145 @@ func (s *FlatL2) Compact(dead []bool, live int) (Store[vector.Dense], error) {
 	return ns, nil
 }
 
+// verifyChunk is how many candidates one batch of the exact kernel
+// covers: the distances and SQ8 classes of a chunk live on the stack.
+const verifyChunk = 64
+
 // VerifyRadius filters the candidate ids: with SQ8 on, each candidate
 // is classified by its quantized distance — definitely outside r
 // (rejected), definitely within r (accepted), or in the narrow
 // ambiguity band around r, which alone pays the exact squared-distance
 // check; the reported set is exactly {id : L2(point[id], q) ≤ r}
-// either way.
+// either way. Exact distances come from vector.L2SqToMany a chunk at a
+// time, so they run on the four-row AVX2 kernel where the CPU has it;
+// an id outside the store panics there before any row is read.
 func (s *FlatL2) VerifyRadius(q vector.Dense, ids []int32, r float64, out []int32) []int32 {
 	if s.n > 0 && len(q) != s.dim {
 		panic(fmt.Sprintf("pointstore: VerifyRadius query dim %d, want %d", len(q), s.dim))
 	}
-	r2 := r * r
 	s.verified.Add(uint64(len(ids)))
-	if z := s.q; z != nil && len(ids) > 0 {
-		lo, hi := quantBands(r, z.bound)
-		lut := z.buildLUT(q)
-		var rej, acc, chk uint64
-		for _, id := range ids {
-			switch lutClassify(lut, z.codes[int(id)*s.dim:(int(id)+1)*s.dim:(int(id)+1)*s.dim], lo, hi) {
-			case quantReject:
-				rej++
-			case quantAccept:
-				acc++
-				out = append(out, id)
-			default:
-				chk++
-				if vector.L2Sq(q, s.hdrs[id]) <= r2 {
-					out = append(out, id)
-				}
-			}
-		}
-		z.putLUT(lut)
-		s.rejected.Add(rej)
-		s.accepted.Add(acc)
-		s.rechecked.Add(chk)
+	if len(ids) == 0 {
 		return out
 	}
-	for _, id := range ids {
-		if vector.L2Sq(q, s.hdrs[id]) <= r2 {
-			out = append(out, id)
-		}
+	v := s.newVerifier(q, r)
+	for len(ids) > 0 {
+		c := ids[:min(len(ids), verifyChunk)]
+		out = v.chunk(c, out)
+		ids = ids[len(c):]
 	}
-	return out
+	return v.finish(out)
 }
 
 // ScanRadius scans every stored row (the LINEAR arm). The scan walks
-// the flat backing sequentially — no per-point pointer chase — and
-// compares squared distances; with SQ8 on it walks the 4×-smaller code
-// matrix instead and pays the exact check only inside the ambiguity
-// band around r.
+// the flat backing sequentially in id order, a chunk of consecutive
+// rows per batch of the exact kernel; with SQ8 on it walks the
+// 4×-smaller code matrix instead and pays the exact check only inside
+// the ambiguity band around r.
 func (s *FlatL2) ScanRadius(q vector.Dense, r float64, out []int32) []int32 {
 	if s.n > 0 && len(q) != s.dim {
 		panic(fmt.Sprintf("pointstore: ScanRadius query dim %d, want %d", len(q), s.dim))
 	}
-	r2 := r * r
 	s.verified.Add(uint64(s.n))
-	if z := s.q; z != nil && s.n > 0 {
-		lo, hi := quantBands(r, z.bound)
-		lut := z.buildLUT(q)
-		var rej, acc, chk uint64
-		for i := 0; i < s.n; i++ {
-			switch lutClassify(lut, z.codes[i*s.dim:(i+1)*s.dim:(i+1)*s.dim], lo, hi) {
-			case quantReject:
-				rej++
-			case quantAccept:
-				acc++
-				out = append(out, int32(i))
-			default:
-				chk++
-				if vector.L2Sq(q, s.hdrs[i]) <= r2 {
-					out = append(out, int32(i))
-				}
-			}
-		}
-		z.putLUT(lut)
-		s.rejected.Add(rej)
-		s.accepted.Add(acc)
-		s.rechecked.Add(chk)
+	if s.n == 0 {
 		return out
 	}
-	for i := 0; i < s.n; i++ {
-		if vector.L2Sq(q, s.hdrs[i]) <= r2 {
-			out = append(out, int32(i))
+	v := s.newVerifier(q, r)
+	var ids [verifyChunk]int32
+	for base := 0; base < s.n; base += verifyChunk {
+		c := ids[:min(s.n-base, verifyChunk)]
+		for k := range c {
+			c[k] = int32(base + k)
 		}
+		out = v.chunk(c, out)
+	}
+	return v.finish(out)
+}
+
+// verifier carries one VerifyRadius/ScanRadius call's state across its
+// chunks: the squared radius, and with SQ8 on the query's lookup table,
+// the classification bands and the split counters.
+type verifier struct {
+	s             *FlatL2
+	q             vector.Dense
+	r2            float64
+	lut           []float32 // nil when SQ8 is off
+	lo, hi        float32
+	rej, acc, chk uint64
+}
+
+func (s *FlatL2) newVerifier(q vector.Dense, r float64) verifier {
+	v := verifier{s: s, q: q, r2: r * r}
+	if z := s.q; z != nil {
+		v.lo, v.hi = quantBands(r, z.bound)
+		v.lut = z.buildLUT(q)
+	}
+	return v
+}
+
+// chunk appends to out, in input order, the ids of c (at most
+// verifyChunk of them) within r of the query.
+func (v *verifier) chunk(c []int32, out []int32) []int32 {
+	s := v.s
+	var d [verifyChunk]float64
+	if v.lut == nil {
+		vector.L2SqToMany(d[:len(c)], v.q, s.flat, s.dim, c)
+		for k, id := range c {
+			if d[k] <= v.r2 {
+				out = append(out, id)
+			}
+		}
+		return out
+	}
+	// One classification pass appends accepted and ambiguity-band ids
+	// alike, noting where each band id landed in out; the exact kernel
+	// then runs once over the band ids and the ones beyond r are
+	// squeezed out, which keeps input order. The band is a few percent
+	// of candidates, so the squeeze is usually skipped or short.
+	var band [verifyChunk]int32
+	var at [verifyChunk]int
+	nb := 0
+	codes := s.q.codes
+	for _, id := range c {
+		switch lutClassify(v.lut, codes[int(id)*s.dim:(int(id)+1)*s.dim:(int(id)+1)*s.dim], v.lo, v.hi) {
+		case quantReject:
+			v.rej++
+		case quantAccept:
+			v.acc++
+			out = append(out, id)
+		default:
+			band[nb], at[nb] = id, len(out)
+			nb++
+			out = append(out, id)
+		}
+	}
+	if nb == 0 {
+		return out
+	}
+	v.chk += uint64(nb)
+	vector.L2SqToMany(d[:nb], v.q, s.flat, s.dim, band[:nb])
+	w, j := at[0], 0
+	for i := w; i < len(out); i++ {
+		if j < nb && i == at[j] {
+			j++
+			if d[j-1] > v.r2 {
+				continue
+			}
+		}
+		out[w] = out[i]
+		w++
+	}
+	return out[:w]
+}
+
+// finish returns the lookup table to its pool and publishes the SQ8
+// split counters.
+func (v *verifier) finish(out []int32) []int32 {
+	if v.lut != nil {
+		s := v.s
+		s.q.putLUT(v.lut)
+		s.rejected.Add(v.rej)
+		s.accepted.Add(v.acc)
+		s.rechecked.Add(v.chk)
 	}
 	return out
 }
@@ -490,6 +546,7 @@ func (s *FlatL2) ScanRadius(q vector.Dense, r float64, out []int32) []int32 {
 func (s *FlatL2) Stats() Stats {
 	st := Stats{
 		Layout:   "flat",
+		Kernel:   vector.L2Kernel(),
 		Quant:    s.Mode().String(),
 		Points:   s.n,
 		Verified: s.verified.Load(),

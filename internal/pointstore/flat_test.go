@@ -333,8 +333,8 @@ func TestFlatL2Stats(t *testing.T) {
 		st.VerifyRadius(q, ids, 0.3, nil)
 	}
 	got := st.Stats()
-	if got.Layout != "flat" || got.Quant != "sq8" {
-		t.Fatalf("layout/quant = %q/%q", got.Layout, got.Quant)
+	if got.Layout != "flat" || got.Quant != "sq8" || got.Kernel != vector.L2Kernel() {
+		t.Fatalf("layout/quant/kernel = %q/%q/%q", got.Layout, got.Quant, got.Kernel)
 	}
 	if got.QuantBytes != int64(len(pts)*8) {
 		t.Fatalf("QuantBytes = %d, want %d", got.QuantBytes, len(pts)*8)
@@ -348,6 +348,77 @@ func TestFlatL2Stats(t *testing.T) {
 	}
 	if got.QuantBound <= 0 {
 		t.Fatalf("QuantBound = %g, want > 0 for a non-degenerate fit", got.QuantBound)
+	}
+}
+
+// TestFlatL2MatchesScalar pins both FlatL2 modes against the scalar
+// reference — vector.L2Sq(q, point) ≤ r² per candidate, in input order —
+// over candidate lists that cross the verification chunk boundary, hold
+// duplicates and run backwards, at dims with and without a dim%4 tail.
+func TestFlatL2MatchesScalar(t *testing.T) {
+	for _, dim := range []int{1, 3, 4, 5, 8, 33, 128} {
+		pts := randDense(300, dim, uint64(100+dim))
+		r := rng.New(uint64(dim))
+		ids := make([]int32, 0, 2*len(pts))
+		for i := len(pts) - 1; i >= 0; i-- {
+			ids = append(ids, int32(i))
+		}
+		for i := 0; i < len(pts); i++ {
+			ids = append(ids, int32(r.Intn(len(pts))))
+		}
+		for _, mode := range []Mode{ModeOff, ModeSQ8} {
+			st, err := NewFlatL2(pts, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range pts[:4] {
+				radii := radiusSweep(pts, q)
+				// A radius exactly at one point's distance.
+				radii = append(radii, math.Sqrt(vector.L2Sq(q, pts[len(pts)-1])))
+				for _, rad := range radii {
+					var wantScan, wantVerify []int32
+					for i, p := range pts {
+						if vector.L2Sq(q, p) <= rad*rad {
+							wantScan = append(wantScan, int32(i))
+						}
+					}
+					for _, id := range ids {
+						if vector.L2Sq(q, pts[id]) <= rad*rad {
+							wantVerify = append(wantVerify, id)
+						}
+					}
+					if got := st.ScanRadius(q, rad, nil); !slices.Equal(got, wantScan) {
+						t.Fatalf("dim %d %s query %d r=%g: ScanRadius %v, want %v", dim, mode, qi, rad, got, wantScan)
+					}
+					if got := st.VerifyRadius(q, ids, rad, nil); !slices.Equal(got, wantVerify) {
+						t.Fatalf("dim %d %s query %d r=%g: VerifyRadius %v, want %v", dim, mode, qi, rad, got, wantVerify)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlatL2VerifyOutOfRangePanics: a candidate id outside the store is
+// a caller bug and must panic, as an out-of-range index does, in both
+// modes and in any position of a chunk — never read another row.
+func TestFlatL2VerifyOutOfRangePanics(t *testing.T) {
+	pts := randDense(70, 8, 3)
+	for _, mode := range []Mode{ModeOff, ModeSQ8} {
+		st, err := NewFlatL2(pts, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]int32{{70}, {-1}, {0, 1, 2, 69, 70}, append(make([]int32, 66), 1<<30)} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: VerifyRadius(%v...) did not panic", mode, bad[len(bad)-1])
+					}
+				}()
+				st.VerifyRadius(pts[0], bad, 10, nil)
+			}()
+		}
 	}
 }
 

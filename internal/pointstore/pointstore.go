@@ -72,6 +72,12 @@ func ParseMode(s string) (Mode, error) {
 type Stats struct {
 	// Layout is "generic" or "flat".
 	Layout string `json:"layout"`
+	// Kernel names the distance kernel verification runs on: "avx2"
+	// when a FlatL2 store computes exact L2 distances with the four-row
+	// assembly kernel, "generic" for the pure-Go loops (every other
+	// layout and metric, and FlatL2 on a CPU or GOARCH without AVX2 —
+	// the same answers, several times slower per candidate).
+	Kernel string `json:"kernel"`
 	// Quant is the quantization mode in effect ("off" or "sq8").
 	Quant string `json:"quant"`
 	// Points is the stored point count.
@@ -102,10 +108,11 @@ type Stats struct {
 }
 
 // Add accumulates other's counters and sizes into s (for aggregating
-// shard stats); layout/quant/bound are taken from other when s is empty.
+// shard stats); layout/kernel/quant/bound are taken from other when s
+// is empty.
 func (s *Stats) Add(other Stats) {
 	if s.Layout == "" {
-		s.Layout, s.Quant, s.QuantBound = other.Layout, other.Quant, other.QuantBound
+		s.Layout, s.Kernel, s.Quant, s.QuantBound = other.Layout, other.Kernel, other.Quant, other.QuantBound
 	}
 	s.Points += other.Points
 	s.QuantBytes += other.QuantBytes
@@ -227,6 +234,7 @@ func (g *Generic[P]) ScanRadius(q P, r float64, out []int32) []int32 {
 func (g *Generic[P]) Stats() Stats {
 	return Stats{
 		Layout:   "generic",
+		Kernel:   "generic",
 		Quant:    ModeOff.String(),
 		Points:   len(g.pts),
 		Verified: g.verified.Load(),

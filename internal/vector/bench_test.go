@@ -1,10 +1,11 @@
 package vector
 
 // Kernel microbenchmarks for the distance hot paths: the unrolled
-// kernels against the scalar loops they replaced, and the one-to-many
-// batch variants against per-call loops. CI runs these with
-// `go test -bench Kernel` and archives the output, so regressions in
-// the raw kernels are visible per commit.
+// kernels against the scalar loops they replaced, the AVX2 four-row
+// kernel against both, and the one-to-many batch entry point against
+// per-call loops. CI runs these with `go test -bench Kernel` and
+// archives the output, so regressions in the raw kernels are visible
+// per commit.
 
 import (
 	"fmt"
@@ -51,6 +52,23 @@ func BenchmarkKernelL2Sq(b *testing.B) {
 			}
 			_ = sink
 		})
+		b.Run(fmt.Sprintf("avx2x4-%d", dim), func(b *testing.B) {
+			// Four distances per kernel call; ns/dist is the figure
+			// comparable with the one-distance arms' ns/op.
+			if !useAVX2 {
+				b.Skip("CPU lacks AVX2")
+			}
+			flat := make([]float32, 0, 4*dim)
+			for k := 0; k < 4; k++ {
+				flat = append(flat, y...)
+			}
+			ids := []int32{0, 1, 2, 3}
+			var dst [4]float64
+			for i := 0; i < b.N; i++ {
+				L2SqToMany(dst[:], x, flat, dim, ids)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(4*b.N), "ns/dist")
+		})
 		b.Run(fmt.Sprintf("sqrt-%d", dim), func(b *testing.B) {
 			// The full pre-refactor candidate check: scalar loop + sqrt.
 			var sink float64
@@ -75,31 +93,37 @@ func BenchmarkKernelDot(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelL2SqToMany verifies 900 random candidates of a
+// 2 000-row matrix, the shape of one shard's LSH candidate list: the
+// batch entry point (the AVX2 four-row kernel where the CPU has it)
+// against the per-candidate L2Sq loop it replaced.
 func BenchmarkKernelL2SqToMany(b *testing.B) {
-	const dim, n = 32, 1024
-	r := rng.New(3)
-	flat := make([]float32, n*dim)
-	for i := range flat {
-		flat[i] = float32(r.Normal())
-	}
-	q, _ := benchDense(dim, 4)
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	dst := make([]float64, n)
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			L2SqToMany(dst, q, flat, dim, ids)
+	for _, dim := range []int{32, 128} {
+		const n, m = 2000, 900
+		r := rng.New(3)
+		flat := make([]float32, n*dim)
+		for i := range flat {
+			flat[i] = float32(r.Normal())
 		}
-	})
-	b.Run("loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j, id := range ids {
-				dst[j] = L2Sq(q, flat[int(id)*dim:(int(id)+1)*dim])
+		q, _ := benchDense(dim, 4)
+		ids := make([]int32, m)
+		for i := range ids {
+			ids[i] = int32(r.Intn(n))
+		}
+		dst := make([]float64, m)
+		b.Run(fmt.Sprintf("batch-d%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				L2SqToMany(dst, q, flat, dim, ids)
 			}
-		}
-	})
+		})
+		b.Run(fmt.Sprintf("loop-d%d", dim), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, id := range ids {
+					dst[j] = L2Sq(q, flat[int(id)*dim:(int(id)+1)*dim])
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkKernelHammingWords(b *testing.B) {

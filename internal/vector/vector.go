@@ -31,6 +31,12 @@ type Dense []float32
 // tests require a seeded rebuild to reproduce checked-in snapshot bytes —
 // reassociating this sum (multiple accumulators) would move hash keys by
 // an ulp and break that promise.
+//
+// Every product is wrapped in an explicit float64 conversion, which the
+// Go spec says rounds it and so forbids fusing it with the add: without
+// it the arm64 compiler emits FMADDD, and an arm64 build would compute
+// different bucket keys than an amd64 build. The same rule applies to
+// every multiply-add in this package.
 func (a Dense) Dot(b Dense) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vector: Dot on mismatched dims %d and %d", len(a), len(b)))
@@ -40,13 +46,13 @@ func (a Dense) Dot(b Dense) float64 {
 	for ; i+4 <= len(a); i += 4 {
 		aa := a[i : i+4 : i+4]
 		bb := b[i : i+4 : i+4]
-		s += float64(aa[0]) * float64(bb[0])
-		s += float64(aa[1]) * float64(bb[1])
-		s += float64(aa[2]) * float64(bb[2])
-		s += float64(aa[3]) * float64(bb[3])
+		s += float64(float64(aa[0]) * float64(bb[0]))
+		s += float64(float64(aa[1]) * float64(bb[1]))
+		s += float64(float64(aa[2]) * float64(bb[2]))
+		s += float64(float64(aa[3]) * float64(bb[3]))
 	}
 	for ; i < len(a); i++ {
-		s += float64(a[i]) * float64(b[i])
+		s += float64(float64(a[i]) * float64(b[i]))
 	}
 	return s
 }
@@ -55,7 +61,7 @@ func (a Dense) Dot(b Dense) float64 {
 func (a Dense) Norm2() float64 {
 	var s float64
 	for _, v := range a {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
@@ -98,10 +104,7 @@ func L2(a, b Dense) float64 {
 // L2Sq returns the squared Euclidean distance between a and b. Radius
 // verification compares it against r² directly, saving the math.Sqrt per
 // candidate that L2 pays; the square root is monotone, so the comparison
-// is unchanged. The loop is 4×-unrolled with four independent
-// accumulators (unlike Dot, nothing downstream depends on the summation
-// order) and the slice headers are re-sliced so the compiler drops the
-// per-element bounds checks.
+// is unchanged.
 func L2Sq(a, b Dense) float64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vector: L2Sq on mismatched dims %d and %d", len(a), len(b)))
@@ -109,8 +112,11 @@ func L2Sq(a, b Dense) float64 {
 	return l2SqRaw(a, b)
 }
 
-// l2SqRaw is L2Sq without the length check, shared with the flat-store
-// batch kernels whose row geometry guarantees matching lengths.
+// l2SqRaw is L2Sq without the length check. It keeps four float64
+// accumulators, s_j summing dims j, j+4, j+8, … in ascending order, adds
+// the dim%4 tail into s0 and returns (s0+s1)+(s2+s3). That order is a
+// contract: the AVX2 kernel behind L2SqToMany reproduces it lane for
+// lane (see l2_amd64.go), so both paths return the same bits.
 func l2SqRaw(a, b []float32) float64 {
 	var s0, s1, s2, s3 float64
 	i := 0
@@ -121,28 +127,57 @@ func l2SqRaw(a, b []float32) float64 {
 		d1 := float64(aa[1]) - float64(bb[1])
 		d2 := float64(aa[2]) - float64(bb[2])
 		d3 := float64(aa[3]) - float64(bb[3])
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; i < len(a); i++ {
 		d := float64(a[i]) - float64(b[i])
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
 
 // L2SqToMany writes into dst[k] the squared Euclidean distance between q
-// and row ids[k] of the flat row-major matrix (dim columns). It is the
-// one-to-many companion of L2Sq for struct-of-arrays point stores: the
-// rows are contiguous, so the scan is sequential in memory for sorted
-// ids. dst must have len(ids) room.
+// and row ids[k] of the flat row-major matrix (dim columns), bit-identical
+// to L2Sq(q, row). It is the batch entry point of radius verification:
+// on AVX2 hosts it runs the four-rows-per-call assembly kernel, elsewhere
+// l2SqRaw per row. Every id is range-checked against flat before any row
+// address reaches the kernel; it panics on an id outside the matrix, on
+// len(q) != dim, or when dst is shorter than ids.
 func L2SqToMany(dst []float64, q Dense, flat []float32, dim int, ids []int32) {
-	for k, id := range ids {
-		row := flat[int(id)*dim : int(id)*dim+dim : int(id)*dim+dim]
-		dst[k] = l2SqRaw(q, row)
+	if len(q) != dim {
+		panic(fmt.Sprintf("vector: L2SqToMany query dim %d, want %d", len(q), dim))
 	}
+	if len(dst) < len(ids) {
+		panic(fmt.Sprintf("vector: L2SqToMany dst holds %d of %d distances", len(dst), len(ids)))
+	}
+	if dim == 0 {
+		clear(dst[:len(ids)])
+		return
+	}
+	rows := len(flat) / dim
+	for _, id := range ids {
+		if uint(id) >= uint(rows) {
+			panic(fmt.Sprintf("vector: L2SqToMany row %d outside [0,%d)", id, rows))
+		}
+	}
+	k := l2SqToMany4(dst, q, flat, dim, ids)
+	for ; k < len(ids); k++ {
+		o := int(ids[k]) * dim
+		dst[k] = l2SqRaw(q, flat[o:o+dim:o+dim])
+	}
+}
+
+// L2Kernel names the kernel L2SqToMany runs on this host: "avx2" for the
+// assembly kernel, "generic" for the pure-Go loop (no AVX2, or a GOARCH
+// other than amd64).
+func L2Kernel() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "generic"
 }
 
 // L1 returns the Manhattan distance between a and b.
@@ -231,7 +266,7 @@ func (a Sparse) Dot(b Sparse) float64 {
 		case a.Idx[i] > b.Idx[j]:
 			j++
 		default:
-			s += float64(a.Val[i]) * float64(b.Val[j])
+			s += float64(float64(a.Val[i]) * float64(b.Val[j]))
 			i++
 			j++
 		}
@@ -243,7 +278,7 @@ func (a Sparse) Dot(b Sparse) float64 {
 func (a Sparse) DotDense(d Dense) float64 {
 	var s float64
 	for k, i := range a.Idx {
-		s += float64(a.Val[k]) * float64(d[i])
+		s += float64(float64(a.Val[k]) * float64(d[i]))
 	}
 	return s
 }
@@ -252,7 +287,7 @@ func (a Sparse) DotDense(d Dense) float64 {
 func (a Sparse) Norm2() float64 {
 	var s float64
 	for _, v := range a.Val {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
