@@ -35,13 +35,11 @@ import (
 	"path/filepath"
 
 	"repro/internal/bench"
-	"repro/internal/pointstore"
 )
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1, fig2a, fig2b, fig2c, fig2d, fig3, persist, delete, multiprobe, covering, serve, recal, cache, quant, replica, all")
-		quantMode  = flag.String("quant", "sq8", "point-store quantization mode the quant experiment gates on (off or sq8)")
+		exp        = flag.String("exp", "all", "experiment: table1, fig2a, fig2b, fig2c, fig2d, fig3, persist, delete, multiprobe, covering, serve, recal, cache, verify, replica, all")
 		scale      = flag.Float64("scale", 0.05, "fraction of the paper's dataset sizes (1.0 = paper scale)")
 		queries    = flag.Int("queries", 100, "query-set size (paper: 100)")
 		runs       = flag.Int("runs", 5, "timing runs to average (paper: 5)")
@@ -58,18 +56,13 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Calibrate = !*paperRatio
 
-	qmode, err := pointstore.ParseMode(*quantMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hybridbench:", err)
-		os.Exit(1)
-	}
 	var rep *bench.JSONReport
 	var jsonOut *os.File
 	if *jsonPath != "" {
-		// The run meta (environment + quant mode) is stamped once here,
+		// The run meta (the environment) is stamped once here,
 		// before any experiment runs, so every report this invocation
 		// writes carries an identical meta block.
-		rep = bench.NewJSONReport(cfg, qmode.String())
+		rep = bench.NewJSONReport(cfg)
 		// Open the output before the (potentially minutes-long) run so an
 		// unwritable path fails fast instead of discarding the results.
 		f, err := os.Create(*jsonPath)
@@ -79,7 +72,7 @@ func main() {
 		}
 		jsonOut = f
 	}
-	if err := run(*exp, cfg, *csvDir, rep, qmode); err != nil {
+	if err := run(*exp, cfg, *csvDir, rep); err != nil {
 		fmt.Fprintln(os.Stderr, "hybridbench:", err)
 		os.Exit(1)
 	}
@@ -97,7 +90,7 @@ func main() {
 
 // run executes one experiment (or all), printing human-readable tables
 // and accumulating into rep when non-nil.
-func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmode pointstore.Mode) error {
+func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport) error {
 	switch exp {
 	case "table1":
 		return table1(cfg, csvDir, rep)
@@ -125,8 +118,8 @@ func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmo
 		return recalExp(cfg, rep)
 	case "cache":
 		return cacheExp(cfg, rep)
-	case "quant":
-		return quantExp(cfg, rep, qmode)
+	case "verify":
+		return verifyExp(cfg, rep)
 	case "replica":
 		return replicaExp(cfg, rep)
 	case "all":
@@ -171,7 +164,7 @@ func run(exp string, cfg bench.Config, csvDir string, rep *bench.JSONReport, qmo
 		if err := cacheExp(cfg, rep); err != nil {
 			return err
 		}
-		if err := quantExp(cfg, rep, qmode); err != nil {
+		if err := verifyExp(cfg, rep); err != nil {
 			return err
 		}
 		return replicaExp(cfg, rep)
@@ -197,20 +190,19 @@ func replicaExp(cfg bench.Config, rep *bench.JSONReport) error {
 	return nil
 }
 
-// quantExp runs the candidate-verification experiment: the same LSH
-// candidate sets replayed through the pre-refactor verification, the
-// flat struct-of-arrays store, and the SQ8-quantized store, with an
-// id-identity gate across the arms.
-func quantExp(cfg bench.Config, rep *bench.JSONReport, mode pointstore.Mode) error {
-	res, err := bench.QuantExperiment(cfg, mode)
+// verifyExp runs the candidate-verification experiment: the same LSH
+// candidate sets replayed through the pre-refactor verification and the
+// flat struct-of-arrays store, with an id-identity gate across the arms.
+func verifyExp(cfg bench.Config, rep *bench.JSONReport) error {
+	res, err := bench.VerifyExperiment(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Point store — candidate verification: baseline vs flat vs SQ8")
-	bench.PrintQuant(os.Stdout, res)
+	fmt.Println("Point store — candidate verification: baseline vs flat")
+	bench.PrintVerify(os.Stdout, res)
 	fmt.Println()
 	if rep != nil {
-		rep.AddQuant(res)
+		rep.AddVerify(res)
 	}
 	return nil
 }

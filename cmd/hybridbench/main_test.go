@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/pointstore"
 )
 
 func tinyCfg() bench.Config {
@@ -18,7 +17,7 @@ func tinyCfg() bench.Config {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nope", tinyCfg(), "", nil, pointstore.ModeOff); err == nil {
+	if err := run("nope", tinyCfg(), "", nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -28,7 +27,7 @@ func TestRunSingleFigures(t *testing.T) {
 		t.Skip("runs real sweeps")
 	}
 	for _, exp := range []string{"fig2a", "fig2d", "fig3"} {
-		if err := run(exp, tinyCfg(), t.TempDir(), nil, pointstore.ModeOff); err != nil {
+		if err := run(exp, tinyCfg(), t.TempDir(), nil); err != nil {
 			t.Errorf("run(%q): %v", exp, err)
 		}
 	}
@@ -38,7 +37,7 @@ func TestRunTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real sweeps")
 	}
-	if err := run("table1", tinyCfg(), t.TempDir(), nil, pointstore.ModeOff); err != nil {
+	if err := run("table1", tinyCfg(), t.TempDir(), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -50,8 +49,8 @@ func TestJSONReport(t *testing.T) {
 		t.Skip("runs real sweeps")
 	}
 	cfg := tinyCfg()
-	rep := bench.NewJSONReport(cfg, "off")
-	if err := run("fig2a", cfg, "", rep, pointstore.ModeOff); err != nil {
+	rep := bench.NewJSONReport(cfg)
+	if err := run("fig2a", cfg, "", rep); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_results.json")

@@ -237,8 +237,6 @@ func main() {
 		"online cost-model recalibration: auto refits alpha/beta when drift leaves the dead band and enables POST /recalibrate, off disables both")
 	flag.IntVar(&cfg.cacheSize, "cache", cfg.cacheSize,
 		"result-cache entry capacity; repeated queries are answered from an LRU invalidated on every mutation (0 = off)")
-	flag.StringVar(&cfg.quant, "quant", cfg.quant,
-		"point-store quantization: sq8 keeps a scalar-quantized verification copy (l2 only; answers stay id-identical), off stores exact values only; snapshots restore their recorded mode")
 	flag.StringVar(&cfg.hydrate, "hydrate", cfg.hydrate,
 		"run as a read-only replica hydrated from this source: an http(s) URL of a writer (hydrates from GET /snapshot, then tails GET /delta and converges continuously) or a local snapshot file path (static replica)")
 	flag.IntVar(&cfg.logCap, "deltalog", cfg.logCap,
@@ -339,7 +337,6 @@ type config struct {
 	pprofAddr     string
 	recalibrate   string
 	cacheSize     int
-	quant         string
 	hydrate       string
 	logCap        int
 	waldir        string
@@ -360,7 +357,6 @@ func defaultConfig() config {
 		maxBody:       8 << 20,
 		compactThresh: shard.DefaultCompactionThreshold,
 		recalibrate:   "auto",
-		quant:         "off",
 		fsync:         replica.FsyncAlways,
 	}
 }
@@ -542,13 +538,6 @@ func newServer(cfg config) (*server, error) {
 	if cfg.cacheSize < 0 {
 		return nil, fmt.Errorf("cache = %d, want >= 0 (0 disables)", cfg.cacheSize)
 	}
-	quant, err := hybridlsh.ParseQuantMode(cfg.quant)
-	if err != nil {
-		return nil, fmt.Errorf("quant = %q, want off or sq8", cfg.quant)
-	}
-	if quant != hybridlsh.QuantOff && cfg.metric != "l2" {
-		return nil, fmt.Errorf("quant = %q applies to -metric l2 only", cfg.quant)
-	}
 	if cfg.logCap < 0 {
 		return nil, fmt.Errorf("deltalog = %d, want >= 0 (0 = default %d)", cfg.logCap, replica.DefaultLogCap)
 	}
@@ -584,6 +573,7 @@ func newServer(cfg config) (*server, error) {
 	var fol followerAPI
 	var stopFollower context.CancelFunc
 	var be backend
+	var err error
 	switch {
 	case followURL:
 		be, fol, stopFollower, err = hydrateFollower(&cfg)
@@ -617,7 +607,7 @@ func newServer(cfg config) (*server, error) {
 		loadedFrom = cfg.snapshot
 	}
 	if !readOnly && be == nil {
-		opts := []hybridlsh.Option{hybridlsh.WithSeed(cfg.seed), hybridlsh.WithShards(cfg.shards), hybridlsh.WithQuant(quant)}
+		opts := []hybridlsh.Option{hybridlsh.WithSeed(cfg.seed), hybridlsh.WithShards(cfg.shards)}
 		if cfg.tables > 0 {
 			opts = append(opts, hybridlsh.WithTables(cfg.tables))
 		}
@@ -1926,7 +1916,6 @@ func (s *server) logFinalMetrics() {
 		"cost_refits_total":    refits,
 		"cache_hits":           topo.CacheHits,
 		"store_verified":       topo.Store.Verified,
-		"store_quant_rejected": topo.Store.QuantRejected,
 		"uptime_sec":           time.Since(s.start).Seconds(),
 	})
 	if err != nil {

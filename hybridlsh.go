@@ -266,7 +266,7 @@ func newL2Core(points []Dense, r float64, o options) (*core.Index[Dense], error)
 		Family:   lsh.NewPStableL2(len(points[0]), w),
 		Distance: distance.L2,
 		Radius:   r,
-		Store:    pointstore.DenseL2Builder(o.quant),
+		Store:    pointstore.DenseL2Builder(),
 	})
 	if cfg.K == 0 {
 		cfg.K = 7 // the paper's L2 setting for δ = 0.1

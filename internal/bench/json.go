@@ -30,9 +30,6 @@ type RunMeta struct {
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	NumCPU    int    `json:"num_cpu"`
-	// Quant is the point-store quantization mode the run benchmarked
-	// ("off" or "sq8"; empty in reports that predate the mode).
-	Quant string `json:"quant,omitempty"`
 }
 
 // JSONReport is the machine-readable form of one hybridbench run: the
@@ -52,31 +49,30 @@ type JSONReport struct {
 	Serve      *ServeResult      `json:"serve,omitempty"`
 	Recal      *RecalResult      `json:"recal,omitempty"`
 	Cache      *CacheResult      `json:"cache,omitempty"`
-	Quant      *QuantResult      `json:"quant,omitempty"`
+	Verify     *VerifyResult     `json:"verify,omitempty"`
 	Replica    *ReplicaResult    `json:"replica,omitempty"`
 }
 
-// NewJSONReport starts an empty report for the given configuration and
-// quantization mode, stamped with the producing environment. The meta
+// NewJSONReport starts an empty report for the given configuration,
+// stamped with the producing environment. The meta
 // is collected exactly once, here: every report one invocation writes
 // carries an identical RunMeta no matter which experiments ran, so
 // BENCH_*.json files from the same run can be compared meta-for-meta.
-func NewJSONReport(cfg Config, quant string) *JSONReport {
+func NewJSONReport(cfg Config) *JSONReport {
 	return &JSONReport{
 		Schema: JSONSchema,
-		Meta:   CollectRunMeta(quant),
+		Meta:   CollectRunMeta(),
 		Config: cfg,
 	}
 }
 
 // CollectRunMeta gathers the environment stamp for one invocation.
-func CollectRunMeta(quant string) RunMeta {
+func CollectRunMeta() RunMeta {
 	return RunMeta{
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
-		Quant:     quant,
 	}
 }
 
@@ -113,13 +109,8 @@ func (r *JSONReport) AddRecal(res *RecalResult) { r.Recal = res }
 // AddCache records the result-cache experiment of the run.
 func (r *JSONReport) AddCache(res *CacheResult) { r.Cache = res }
 
-// AddQuant records the candidate-verification experiment of the run.
-// It deliberately leaves r.Meta alone: the run meta is collected once
-// in NewJSONReport, so every report of one invocation carries the same
-// meta block whether or not this experiment ran. (Stamping Meta.Quant
-// here instead made -exp quant reports disagree with every other
-// BENCH_*.json of the same invocation.)
-func (r *JSONReport) AddQuant(res *QuantResult) { r.Quant = res }
+// AddVerify records the candidate-verification experiment of the run.
+func (r *JSONReport) AddVerify(res *VerifyResult) { r.Verify = res }
 
 // AddReplica records the replicated-serving experiment of the run.
 func (r *JSONReport) AddReplica(res *ReplicaResult) { r.Replica = res }

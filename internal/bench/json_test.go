@@ -9,25 +9,22 @@ import (
 // TestRunMetaIdenticalAcrossReports is the shape guarantee CI relies
 // on: one invocation stamps its RunMeta exactly once, so every
 // BENCH_*.json it writes carries a byte-identical meta block no matter
-// which experiments each report recorded. AddQuant used to mutate
-// Meta.Quant after the fact, which made the quant report's meta
-// disagree with every sibling report of the same run.
+// which experiments each report recorded.
 func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	cfg := DefaultConfig(0.01)
-	meta := CollectRunMeta("sq8")
+	meta := CollectRunMeta()
 
 	reports := []*JSONReport{
-		NewJSONReport(cfg, "sq8"),
-		NewJSONReport(cfg, "sq8"),
-		NewJSONReport(cfg, "sq8"),
+		NewJSONReport(cfg),
+		NewJSONReport(cfg),
+		NewJSONReport(cfg),
 	}
 	// Feed each report a different experiment mix — the meta must not
-	// care. In particular the quant result's recorded mode must not leak
-	// back into the run meta.
+	// care.
 	reports[0].AddTable1([]Table1Row{{Dataset: "x"}})
-	reports[1].AddQuant(&QuantResult{Mode: "off"})
+	reports[1].AddVerify(&VerifyResult{Kernel: "generic"})
 	reports[2].AddFigure("fig2a", true, &Fig2Result{})
-	reports[2].AddQuant(&QuantResult{Mode: "flat-vs-sq8-something-else"})
+	reports[2].AddVerify(&VerifyResult{Kernel: "avx2"})
 
 	var metas [][]byte
 	for i, r := range reports {
@@ -58,7 +55,7 @@ func TestRunMetaIdenticalAcrossReports(t *testing.T) {
 	if got.Meta != meta {
 		t.Errorf("round-tripped meta = %+v, want %+v", got.Meta, meta)
 	}
-	if got.Quant == nil || got.Quant.Mode != "off" {
-		t.Errorf("quant result lost in round trip: %+v", got.Quant)
+	if got.Verify == nil || got.Verify.Kernel != "generic" {
+		t.Errorf("verify result lost in round trip: %+v", got.Verify)
 	}
 }

@@ -37,7 +37,7 @@ func TestPersistExperiment(t *testing.T) {
 		t.Errorf("PrintPersist output missing summary: %q", out.String())
 	}
 
-	rep := NewJSONReport(cfg, "off")
+	rep := NewJSONReport(cfg)
 	rep.AddPersist(res)
 	var js bytes.Buffer
 	if err := WriteJSON(&js, rep); err != nil {

@@ -42,7 +42,7 @@ func TestRecalExperiment(t *testing.T) {
 		t.Errorf("PrintRecal output missing refitted row: %q", out.String())
 	}
 
-	rep := NewJSONReport(cfg, "off")
+	rep := NewJSONReport(cfg)
 	rep.AddRecal(res)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {
@@ -95,7 +95,7 @@ func TestCacheExperiment(t *testing.T) {
 		t.Errorf("PrintCache output missing summary: %q", out.String())
 	}
 
-	rep := NewJSONReport(cfg, "off")
+	rep := NewJSONReport(cfg)
 	rep.AddCache(res)
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, rep); err != nil {

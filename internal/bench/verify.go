@@ -14,47 +14,34 @@ import (
 	"repro/internal/vector"
 )
 
-// QuantResult reports the candidate-verification experiment: the wall
-// time the same LSH candidate sets cost under the pre-refactor
-// verification (per-point heap rows, per-candidate sqrt distance), the
-// flat struct-of-arrays store, and the SQ8-quantized store, plus the
-// correctness gate — all three must report identical id sets.
-type QuantResult struct {
+// VerifyResult reports the candidate-verification experiment: the
+// wall time the same LSH candidate sets cost under the pre-refactor
+// verification (per-point heap rows, per-candidate sqrt distance) and
+// under the flat struct-of-arrays store, plus the correctness gate —
+// both must report identical id sets.
+type VerifyResult struct {
 	Dataset string  `json:"dataset"`
 	N       int     `json:"n"`
 	Dim     int     `json:"dim"`
 	Metric  string  `json:"metric"`
 	Radius  float64 `json:"radius"`
 	Queries int     `json:"queries"`
-	// Mode is the quantization mode the headline speedup is measured
-	// against ("off" benchmarks the flat store alone).
-	Mode string `json:"mode"`
+	// Kernel is the distance kernel the flat store verified with
+	// ("avx2" or "generic").
+	Kernel string `json:"kernel"`
 	// CandAvg is the mean LSH candidate-list size per query — the work
 	// every arm verifies.
 	CandAvg int `json:"cand_avg"`
 	// BaselineSec is the pre-refactor arm: points as individually
 	// allocated rows, one sqrt distance per candidate. FlatSec is the
-	// exact struct-of-arrays batch verify; QuantSec adds the SQ8
-	// pre-filter. Each is the best total over the configured runs.
+	// exact struct-of-arrays batch verify. Each is the best total over
+	// the configured runs.
 	BaselineSec float64 `json:"baseline_sec"`
 	FlatSec     float64 `json:"flat_sec"`
-	QuantSec    float64 `json:"quant_sec"`
-	// SpeedupFlat is BaselineSec/FlatSec. SpeedupVerify is the headline
-	// gate: baseline over the selected mode's store (QuantSec for sq8,
-	// FlatSec for off); the CI gate requires >= 1.3.
-	SpeedupFlat   float64 `json:"speedup_flat"`
+	// SpeedupVerify is BaselineSec/FlatSec; the CI gate requires >= 1.3.
 	SpeedupVerify float64 `json:"speedup_verify"`
-	// RejectedFrac and AcceptedFrac are the shares of candidates the
-	// SQ8 screen resolved without an exact check (clear of the
-	// ambiguity band on either side); Bound is the fit's conservative
-	// decode-error bound E. 1 − rejected − accepted is the share that
-	// paid the exact re-check.
-	RejectedFrac float64 `json:"rejected_frac"`
-	AcceptedFrac float64 `json:"accepted_frac"`
-	Bound        float64 `json:"quant_bound"`
-	// Mismatches counts (query, arm) pairs whose id set differed from
-	// the baseline's. Must be 0 — the SQ8 pre-filter is conservative by
-	// construction.
+	// Mismatches counts queries whose flat-store id list differed from
+	// the baseline's. Must be 0.
 	Mismatches int `json:"mismatches"`
 }
 
@@ -70,16 +57,15 @@ func baselineL2(a, b vector.Dense) float64 {
 	return math.Sqrt(s)
 }
 
-// QuantExperiment isolates candidate verification — the inner loop both
+// VerifyExperiment isolates candidate verification — the inner loop both
 // of the paper's search arms bottom out in — on the Corel-like L2
 // workload. It collects each query's real LSH candidate set (the deduped
 // union of its L home buckets, exactly what core.Index verifies), then
-// replays the identical sets through three verification arms: the
-// pre-refactor layout (per-point heap rows, sqrt per candidate), the
-// flat struct-of-arrays store, and the SQ8-quantized store. Identical
-// inputs make the arms answer-comparable id-for-id, which doubles as
-// the mismatch gate.
-func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
+// replays the identical sets through two verification arms: the
+// pre-refactor layout (per-point heap rows, sqrt per candidate) and the
+// flat struct-of-arrays store. Identical inputs make the arms
+// answer-comparable id-for-id, which doubles as the mismatch gate.
+func VerifyExperiment(cfg Config) (*VerifyResult, error) {
 	ds := dataset.CorelLike(cfg.Scale, cfg.Seed)
 	data, queries := dataset.SplitQueries(ds.Points, cfg.queries(len(ds.Points)), cfg.Seed+1)
 	r := ds.Meta.PaperRadii[len(ds.Meta.PaperRadii)/2]
@@ -125,7 +111,7 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 		total += len(ids)
 	}
 
-	// The three storage arms over the same points.
+	// The two storage arms over the same points.
 	rows := make([]vector.Dense, len(data)) // individually allocated, as []P stores were
 	for i, p := range data {
 		rows[i] = append(vector.Dense(nil), p...)
@@ -134,21 +120,16 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	quant, err := pointstore.NewFlatL2(data, pointstore.ModeSQ8)
-	if err != nil {
-		return nil, err
-	}
 
-	res := &QuantResult{
+	res := &VerifyResult{
 		Dataset: ds.Meta.Name,
 		N:       len(data),
 		Dim:     ds.Meta.Dim,
 		Metric:  "l2",
 		Radius:  r,
 		Queries: len(queries),
-		Mode:    mode.String(),
+		Kernel:  vector.L2Kernel(),
 		CandAvg: total / max(len(queries), 1),
-		Bound:   quant.Stats().QuantBound,
 	}
 
 	baseline := make([][]int32, len(queries))
@@ -187,24 +168,8 @@ func QuantExperiment(cfg Config, mode pointstore.Mode) (*QuantResult, error) {
 	res.FlatSec, _ = timeArm(func(qi int, out []int32) []int32 {
 		return flat.VerifyRadius(queries[qi], cands[qi], r, out)
 	}, true)
-	res.QuantSec, _ = timeArm(func(qi int, out []int32) []int32 {
-		return quant.VerifyRadius(queries[qi], cands[qi], r, out)
-	}, true)
-
 	if res.FlatSec > 0 {
-		res.SpeedupFlat = res.BaselineSec / res.FlatSec
-	}
-	switch mode {
-	case pointstore.ModeSQ8:
-		if res.QuantSec > 0 {
-			res.SpeedupVerify = res.BaselineSec / res.QuantSec
-		}
-	default:
-		res.SpeedupVerify = res.SpeedupFlat
-	}
-	if st := quant.Stats(); st.Verified > 0 {
-		res.RejectedFrac = float64(st.QuantRejected) / float64(st.Verified)
-		res.AcceptedFrac = float64(st.QuantAccepted) / float64(st.Verified)
+		res.SpeedupVerify = res.BaselineSec / res.FlatSec
 	}
 	return res, nil
 }
@@ -223,13 +188,11 @@ func equalIDs(a, b []int32) bool {
 	return true
 }
 
-// PrintQuant renders the verification-arm comparison.
-func PrintQuant(w io.Writer, r *QuantResult) {
-	fmt.Fprintf(w, "  %s: n=%d dim=%d r=%.3g, %d queries, avg %d candidates (mode %s)\n",
-		r.Dataset, r.N, r.Dim, r.Radius, r.Queries, r.CandAvg, r.Mode)
+// PrintVerify renders the verification-arm comparison.
+func PrintVerify(w io.Writer, r *VerifyResult) {
+	fmt.Fprintf(w, "  %s: n=%d dim=%d r=%.3g, %d queries, avg %d candidates (kernel %s)\n",
+		r.Dataset, r.N, r.Dim, r.Radius, r.Queries, r.CandAvg, r.Kernel)
 	fmt.Fprintf(w, "  baseline (rows+sqrt)   %8.3f ms\n", r.BaselineSec*1e3)
-	fmt.Fprintf(w, "  flat (SoA, squared)    %8.3f ms   %.2fx\n", r.FlatSec*1e3, r.SpeedupFlat)
-	fmt.Fprintf(w, "  sq8 (quant screen)     %8.3f ms   rejected %.0f%% accepted %.0f%% (bound %.3g)\n",
-		r.QuantSec*1e3, r.RejectedFrac*100, r.AcceptedFrac*100, r.Bound)
+	fmt.Fprintf(w, "  flat (SoA, squared)    %8.3f ms\n", r.FlatSec*1e3)
 	fmt.Fprintf(w, "  speedup_verify %.2fx   mismatches %d\n", r.SpeedupVerify, r.Mismatches)
 }

@@ -59,7 +59,7 @@ type CostModel struct {
 
 // LSHCost evaluates Equation (1).
 func (c CostModel) LSHCost(collisions int, candSize float64) float64 {
-	return c.Alpha*float64(collisions) + c.Beta*candSize
+	return float64(c.Alpha*float64(collisions)) + float64(c.Beta*candSize)
 }
 
 // LinearCost evaluates Equation (2).
@@ -339,8 +339,8 @@ func (ix *Index[P]) Family() lsh.Family[P] { return ix.family }
 // id-aligned, which the shard compaction hand-off relies on.
 func (ix *Index[P]) Points() []P { return ix.store.Slice() }
 
-// StoreStats returns the point store's layout and verification counters
-// (quantization mode, pre-filter rejections, refits).
+// StoreStats returns the point store's layout and verification
+// counters.
 func (ix *Index[P]) StoreStats() pointstore.Stats { return ix.store.Stats() }
 
 // L returns the number of hash tables.
@@ -678,9 +678,8 @@ func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
 // verification: walk the probed buckets and remove duplicates with the
 // generation-stamped visited array (S2), collecting the distinct
 // candidate ids into the pooled scratch buffer, then hand the whole
-// batch to the store's VerifyRadius (S3) — which runs the unrolled
-// distance kernels over its own layout and, when quantized, pre-filters
-// against the SQ8 copy before the exact re-check.
+// batch to the store's VerifyRadius (S3) — which runs the batch
+// distance kernels over its own layout.
 func (ix *Index[P]) searchBuckets(q P, buckets []*lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
 	st.gen++
 	if st.gen == 0 {

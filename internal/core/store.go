@@ -115,9 +115,8 @@ type RadiusQuerier[P any] interface {
 }
 
 // StoreStatser is implemented by stores that can report their point
-// store's layout and verification counters (quantization mode, SQ8
-// pre-filter rejections, refits); the serving layer aggregates these
-// across shards for /stats and /metrics.
+// store's layout and verification counters; the serving layer
+// aggregates these across shards for /stats and /metrics.
 type StoreStatser interface {
 	StoreStats() pointstore.Stats
 }

@@ -97,11 +97,12 @@ func TestStoreContractL2(t *testing.T) {
 		New: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
 			return denseIndex(t, pts, seed, nil)
 		},
-		// Generic exact store vs SQ8-quantized flat store: the
-		// pre-filter + exact-recheck pipeline must answer id-for-id
-		// what the plain exact loop answers.
-		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
-			return denseIndex(t, pts, seed, pointstore.DenseL2Builder(pointstore.ModeSQ8))
+		// Generic store vs the flat struct-of-arrays store: the batch
+		// squared-distance kernel (four-row AVX2 where the CPU has it)
+		// must answer id-for-id what the plain per-candidate loop
+		// answers.
+		NewAlt: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+			return denseIndex(t, pts, seed, pointstore.DenseL2Builder())
 		},
 		Data: clusteredDense,
 	})
@@ -134,9 +135,9 @@ func TestStoreContractHamming(t *testing.T) {
 		New: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
 			return binaryIndex(t, pts, seed, nil)
 		},
-		// Binary has no quantized encoding; the alternative build pins
-		// the generic-vs-flat-words layout equivalence instead.
-		NewQuant: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
+		// The alternate build pins the generic-vs-flat-words layout
+		// equivalence.
+		NewAlt: func(t *testing.T, pts []vector.Binary, seed uint64) core.Store[vector.Binary] {
 			return binaryIndex(t, pts, seed, pointstore.BinaryHammingBuilder())
 		},
 		Data: clusteredBinary,

@@ -28,10 +28,9 @@ func TestStoreContract(t *testing.T) {
 			pts, _ := randomPoints(n, n/3, 64, 3, seed)
 			return pts
 		},
-		// NewQuant stays nil: the covering index is hard-wired to the
-		// flat binary store (no quantized encoding exists for Hamming),
-		// and the flat-vs-generic layout equivalence is pinned by the
-		// core-hamming harness.
+		// NewAlt stays nil: the covering index is hard-wired to the
+		// flat binary store, and the flat-vs-generic layout equivalence
+		// is pinned by the core-hamming harness.
 	})
 }
 

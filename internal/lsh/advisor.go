@@ -107,19 +107,19 @@ func Advise(in AdvisorInput) (best Advice, ranked []Advice, err error) {
 	}
 	for L := 1; L <= in.MaxL; L++ {
 		k := SolveK(in.P1, in.Delta, L)
-		nearColl := in.ExpectedNeighbors * math.Pow(in.P1, float64(k))
-		farColl := background * math.Pow(in.PBackground, float64(k))
+		nearColl := float64(in.ExpectedNeighbors * math.Pow(in.P1, float64(k)))
+		farColl := float64(background * math.Pow(in.PBackground, float64(k)))
 		collisions := float64(L) * (nearColl + farColl)
 		// Distinct candidates ≤ collisions; approximate with the
 		// inclusion probability per point.
-		candidates := in.ExpectedNeighbors*(1-math.Pow(1-math.Pow(in.P1, float64(k)), float64(L))) +
-			background*(1-math.Pow(1-math.Pow(in.PBackground, float64(k)), float64(L)))
+		candidates := float64(in.ExpectedNeighbors*(1-math.Pow(1-math.Pow(in.P1, float64(k)), float64(L)))) +
+			float64(background*(1-math.Pow(1-math.Pow(in.PBackground, float64(k)), float64(L))))
 		a := Advice{
 			K:                  k,
 			L:                  L,
 			MissProb:           MissProb(in.P1, k, L),
 			ExpectedCollisions: collisions,
-			QueryCost:          in.Alpha*collisions + in.Beta*candidates,
+			QueryCost:          float64(in.Alpha*collisions) + float64(in.Beta*candidates),
 			HashCost:           k * L,
 		}
 		ranked = append(ranked, a)

@@ -63,7 +63,7 @@ func (f *CrossPolytope) calibrate(seed uint64) {
 			w := orthogonalUnit(u, r)
 			v := make(vector.Dense, f.dim)
 			for j := range v {
-				v[j] = float32(math.Cos(theta)*float64(u[j]) + math.Sin(theta)*float64(w[j]))
+				v[j] = float32(float64(math.Cos(theta)*float64(u[j])) + float64(math.Sin(theta)*float64(w[j])))
 			}
 			h := f.NewHasher(1, r)
 			if h.Key(u) == h.Key(v) {
@@ -145,16 +145,17 @@ func (f *CrossPolytope) CollisionProb(dist float64) float64 {
 	if dist <= 0 {
 		return 1
 	}
+	last := len(f.probs) - 1
 	if dist >= 1 {
-		return f.probs[len(f.probs)-1]
+		return f.probs[last]
 	}
-	pos := dist * float64(len(f.probs)-1)
+	pos := float64(dist * float64(last))
 	lo := int(pos)
-	if lo >= len(f.probs)-1 {
-		return f.probs[len(f.probs)-1]
+	if lo >= last {
+		return f.probs[last]
 	}
 	frac := pos - float64(lo)
-	return f.probs[lo]*(1-frac) + f.probs[lo+1]*frac
+	return float64(f.probs[lo]*(1-frac)) + float64(f.probs[lo+1]*frac)
 }
 
 // NewHasher implements Family: k independent random-rotation argmax

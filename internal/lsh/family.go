@@ -96,5 +96,5 @@ func MissProb(p1 float64, k, L int) float64 {
 // normalCDF is Φ, the standard normal CDF, via the stdlib complementary
 // error function: Φ(x) = erfc(−x/√2)/2.
 func normalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
+	return float64(0.5 * math.Erfc(-x/math.Sqrt2))
 }

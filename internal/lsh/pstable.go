@@ -75,9 +75,9 @@ func (f *PStable) CollisionProb(dist float64) float64 {
 	t := f.w / dist
 	var p float64
 	if f.cauchy {
-		p = 2*math.Atan(t)/math.Pi - math.Log(1+t*t)/(math.Pi*t)
+		p = 2*math.Atan(t)/math.Pi - math.Log(1+float64(t*t))/(math.Pi*t)
 	} else {
-		p = 1 - 2*normalCDF(-t) - 2/(math.Sqrt(2*math.Pi)*t)*(1-math.Exp(-t*t/2))
+		p = 1 - 2*normalCDF(-t) - float64(2/(math.Sqrt(2*math.Pi)*t)*(1-math.Exp(-t*t/2)))
 	}
 	if p < 0 {
 		return 0

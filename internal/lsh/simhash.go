@@ -264,7 +264,7 @@ func Fingerprint(x vector.Dense, bits int, seed uint64) vector.Binary {
 	for i := 0; i < bits; i++ {
 		var dot float64
 		for j := range x {
-			dot += float64(x[j]) * r.Normal()
+			dot += float64(float64(x[j]) * r.Normal())
 		}
 		out.SetBit(i, dot >= 0)
 	}

@@ -56,12 +56,12 @@ func TestStoreContract(t *testing.T) {
 			}
 			return ix
 		},
-		// Same build over the SQ8-quantized flat store: the widened
+		// Same build over the flat struct-of-arrays store: the widened
 		// probe sequences must verify to id-identical answers.
-		NewQuant: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
+		NewAlt: func(t *testing.T, pts []vector.Dense, seed uint64) core.Store[vector.Dense] {
 			cfg := testConfig(lsh.NewPStableL2(dataset.CorelDim, 0.9))
 			cfg.Seed = seed
-			cfg.Store = pointstore.DenseL2Builder(pointstore.ModeSQ8)
+			cfg.Store = pointstore.DenseL2Builder()
 			ix, err := New(pts, cfg)
 			if err != nil {
 				t.Fatal(err)

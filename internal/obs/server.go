@@ -166,16 +166,6 @@ func RegisterTopology(r *Registry, fetch func() shard.Stats) {
 	// step backwards.
 	r.NewGaugeFunc("hybridlsh_store_verified", "Candidates that entered radius verification (LSH candidates plus linear-scan points), summed across shards; restarts at shard compaction.",
 		read(func(s shard.Stats) float64 { return float64(s.Store.Verified) }))
-	r.NewGaugeFunc("hybridlsh_store_quant_rejected", "Candidates the SQ8 pre-filter rejected without an exact distance computation (0 when quantization is off); restarts at shard compaction.",
-		read(func(s shard.Stats) float64 { return float64(s.Store.QuantRejected) }))
-	r.NewGaugeFunc("hybridlsh_store_quant_accepted", "Candidates the SQ8 filter accepted without an exact distance computation (quantized distance clear of the ambiguity band); restarts at shard compaction.",
-		read(func(s shard.Stats) float64 { return float64(s.Store.QuantAccepted) }))
-	r.NewGaugeFunc("hybridlsh_store_quant_rechecked", "Candidates inside the SQ8 ambiguity band that were re-checked exactly; restarts at shard compaction.",
-		read(func(s shard.Stats) float64 { return float64(s.Store.QuantRechecked) }))
-	r.NewGaugeFunc("hybridlsh_store_quant_refits", "Full SQ8 re-encodes triggered by appends outside the fitted range; restarts at shard compaction.",
-		read(func(s shard.Stats) float64 { return float64(s.Store.QuantRefits) }))
-	r.NewGaugeFunc("hybridlsh_store_quant_bytes", "Bytes held by the scalar-quantized point copies (0 when quantization is off).",
-		read(func(s shard.Stats) float64 { return float64(s.Store.QuantBytes) }))
 
 	// Which distance kernel verification runs on: a server that lost
 	// its AVX2 kernel answers identically, only several times slower per

@@ -22,10 +22,9 @@ type indexMeta struct {
 	costAlpha         float64
 	costBeta          float64
 	params            lsh.Params
-	w                 float64         // p-stable slot width (l1/l2 only)
-	curve             []float64       // cross-polytope calibrated curve (angular only)
-	probes            int             // multi-probe T from the optional "prob" section (0 = plain)
-	quant             pointstore.Mode // quantization mode from the optional "quan" section (l2 only)
+	w                 float64   // p-stable slot width (l1/l2 only)
+	curve             []float64 // cross-polytope calibrated curve (angular only)
+	probes            int       // multi-probe T from the optional "prob" section (0 = plain)
 }
 
 // codec binds one metric identifier to its point type P: the distance
@@ -44,8 +43,7 @@ type codec[P any] struct {
 	readHasher  func(d *dec, m *indexMeta) (lsh.Hasher[P], error)
 	// store picks the point-store builder a restored index verifies
 	// through (nil, or a nil return, falls back to core's generic
-	// store). The l2 codec honors the decoded "quan" mode here, so an
-	// SQ8 snapshot refits its quantized copy on hydrate.
+	// store).
 	store func(m *indexMeta) pointstore.Builder[P]
 }
 
@@ -163,7 +161,7 @@ func pstableCodec(metric, familyName string, dist distance.Func[vector.Dense],
 			if metric != MetricL2 {
 				return nil // the flat kernels compute squared L2; L1 keeps the generic store
 			}
-			return pointstore.DenseL2Builder(m.quant)
+			return pointstore.DenseL2Builder()
 		},
 	}
 }

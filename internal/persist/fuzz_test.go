@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"repro/internal/core"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/distance"
 	"repro/internal/lsh"
 	"repro/internal/multiprobe"
-	"repro/internal/pointstore"
 	"repro/internal/shard"
 	"repro/internal/vector"
 )
@@ -152,16 +152,13 @@ func seedCorpus(f *testing.F) {
 			add(buf.Bytes())
 		}
 	}
-	// Quantized L2 (exercises the optional "quan" section and the
-	// SQ8 refit on hydrate).
-	qcfg := mkCfg()
-	qcfg.Store = pointstore.DenseL2Builder(pointstore.ModeSQ8)
-	if ix, err := core.NewIndex(denseData(24, 4, 10), qcfg); err == nil {
-		var buf bytes.Buffer
-		if _, err := WriteIndex(&buf, MetricL2, ix); err == nil {
-			add(buf.Bytes())
-		}
+	// Sharded L2 with per-shard legacy "quan" sections, which today's
+	// writer no longer produces.
+	legacy, err := os.ReadFile(goldenSQ8Path)
+	if err != nil {
+		f.Fatal(err)
 	}
+	add(legacy)
 	// Multi-probe L2 (exercises the optional "prob" section).
 	if ix, err := core.NewIndex(denseData(24, 4, 6), mkCfg()); err == nil {
 		if mp, err := multiprobe.FromCore(ix, 7); err == nil {

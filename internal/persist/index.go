@@ -10,7 +10,6 @@ import (
 	"repro/internal/hll"
 	"repro/internal/lsh"
 	"repro/internal/multiprobe"
-	"repro/internal/pointstore"
 	"repro/internal/vector"
 )
 
@@ -127,12 +126,11 @@ func publicMeta(m *indexMeta, shards int) Meta {
 		L:      m.params.L,
 		Shards: shards,
 		Probes: m.probes,
-		Quant:  m.quant.String(),
 		Seed:   m.params.Seed,
 	}
 }
 
-// writeIndexParts writes the "meta", optional "prob"/"quan", "pnts" and
+// writeIndexParts writes the "meta", optional "prob", "pnts" and
 // L "tabl" sections of one index. points is passed separately so the
 // sharded writer can substitute a compacted point set (with buckets
 // supplying the matching compacted tables: when buckets is non-nil,
@@ -182,15 +180,6 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points 
 		}
 	}
 
-	// The quantized copy is a derived structure — only its mode is
-	// recorded (the reader refits it from the exact points), and only
-	// when it is on, so exact-only snapshots keep their original bytes.
-	if mode, err := pointstore.ParseMode(ix.StoreStats().Quant); err == nil && mode != pointstore.ModeOff {
-		if err := writeQuantSection(w, mode); err != nil {
-			return err
-		}
-	}
-
 	e = enc{}
 	if err := c.writePoints(&e, m, points); err != nil {
 		return err
@@ -219,12 +208,11 @@ func writeIndexParts[P any](w io.Writer, c *codec[P], ix *core.Index[P], points 
 	return nil
 }
 
-// readIndexBody reads the "meta", optional "prob"/"quan", "pnts" and L
-// "tabl" sections and reassembles the index; a present "prob" section
-// is recorded in the returned meta's probes field for the caller to act
-// on, and a present "quan" section selects the quantization mode of the
-// point store the index is rebuilt over (the quantized copy itself is
-// refit from the exact points). A non-nil shared lets the tables reuse
+// readIndexBody reads the "meta", optional "prob", legacy "quan",
+// "pnts" and L "tabl" sections and reassembles the index; a present
+// "prob" section is recorded in the returned meta's probes field for the
+// caller to act on, and a legacy "quan" section is validated and
+// dropped (see skipLegacyQuant). A non-nil shared lets the tables reuse
 // hashers decoded earlier from byte-identical encodings (see
 // sharedHashers).
 func readIndexBody[P any](ss *sectionStream, c *codec[P], shared *sharedHashers[P]) (*core.Index[P], *indexMeta, error) {
@@ -241,11 +229,8 @@ func readIndexBody[P any](ss *sectionStream, c *codec[P], shared *sharedHashers[
 		return nil, nil, err
 	}
 
-	if m.quant, err = ss.readQuantSection(); err != nil {
+	if err := ss.skipLegacyQuant(m.metric); err != nil {
 		return nil, nil, err
-	}
-	if m.quant != pointstore.ModeOff && m.metric != MetricL2 {
-		return nil, nil, corrupt("metric %q snapshot carries a %q quantization section (only %s supports one)", m.metric, m.quant, MetricL2)
 	}
 
 	payload, err = ss.read("pnts")

@@ -26,13 +26,12 @@
 //	["prob"]          optional: the multi-probe configuration T (u32 in
 //	                  [1, maxProbes]); present iff the snapshot holds a
 //	                  multi-probe index
-//	["quan"]          optional: the point-store quantization mode (u8;
-//	                  1 = SQ8); present iff the index keeps a scalar-
-//	                  quantized verification copy. Only the exact points
-//	                  are persisted — the quantized copy is refit
-//	                  deterministically on load — so the section is one
-//	                  byte and exact-only files stay byte-identical to
-//	                  the pre-quantization layout.
+//	["quan"]          legacy, never written: a one-byte point-store
+//	                  quantization marker (u8 1 = SQ8) older writers
+//	                  emitted for indexes keeping a quantized
+//	                  verification copy. Readers validate it (payload 1,
+//	                  metric l2 only) and otherwise ignore it — the exact
+//	                  points that follow are the whole index.
 //	"pnts"            the points (dense: n×dim f32; sparse: per point
 //	                  nnz + sorted idx/val pairs; binary: bit-packed
 //	                  words)
@@ -68,16 +67,14 @@
 // Readers accept exactly the version they were built for; any layout
 // change must bump the version constant, and the golden-snapshot test
 // in this package fails if today's writer drifts from the checked-in
-// v1 bytes. The optional "prob" and "quan" sections are the sanctioned
-// in-v1 extensions: they are purely additive, so every file written
-// without them is byte-identical to the original layout and loads
-// unchanged (old snapshots simply restore with quantization off, and a
-// reader that rebuilds them under -quant=sq8 refits the quantized copy
-// from the exact points). The
-// decoder is hardened against corrupt, truncated and adversarial
-// input: every section is CRC-checked, every count is validated
-// against the bytes actually present before allocation, and every id
-// is range-checked, so malformed input yields an error — never a panic
+// v1 bytes. The optional "prob" section is the sanctioned in-v1
+// extension: it is purely additive, so every file written without it is
+// byte-identical to the original layout and loads unchanged. The legacy
+// "quan" section is accepted on read and dropped, so re-writing such a
+// file yields the same bytes minus that section. The decoder is
+// hardened against corrupt, truncated and adversarial input: every
+// section is CRC-checked, every count is validated against the bytes
+// actually present before allocation, and every id is range-checked, so malformed input yields an error — never a panic
 // or an unbounded allocation (see FuzzReadSnapshot).
 package persist
 
@@ -91,8 +88,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-
-	"repro/internal/pointstore"
 )
 
 // FormatName identifies the snapshot format, magic and version
@@ -186,11 +181,6 @@ type Meta struct {
 	// Probes is the multi-probe configuration T recorded in the
 	// snapshot's optional "prob" section (0 for a plain hybrid index).
 	Probes int
-	// Quant is the point-store quantization mode recorded in the
-	// snapshot's optional "quan" section ("sq8"), or "off" when the
-	// snapshot holds exact points only (the first shard's mode for a
-	// sharded snapshot).
-	Quant string
 	// CoverRadius is the integer covering radius of a covering-LSH
 	// snapshot (its "covr" section); 0 for every other index kind. For
 	// covering snapshots Radius carries the same value as a float and L
@@ -339,41 +329,33 @@ func writeProbeSection(w io.Writer, probes int) error {
 	return writeSection(w, "prob", e.b)
 }
 
-// readQuantSection reads an optional "quan" section at the stream's
-// current position and returns the recorded point-store quantization
-// mode (ModeOff when the next section is something else). The payload
-// is a single u8 mode identifier; sq8 (1) is the only value ever
-// written — exact-only indexes write no section at all, which keeps
-// their bytes identical to the pre-quantization layout.
-func (s *sectionStream) readQuantSection() (pointstore.Mode, error) {
+// skipLegacyQuant consumes a "quan" section at the stream's current
+// position, if there is one. Older writers recorded with it that the
+// index kept an SQ8-quantized verification copy; the copy was always
+// derived from the exact points, so the section carries nothing a
+// reader needs. It is still validated: the payload must be the single
+// sq8 identifier byte 1, and only an l2 index may carry one.
+func (s *sectionStream) skipLegacyQuant(metric string) error {
 	tag, err := s.peek()
-	if err != nil {
-		return pointstore.ModeOff, err
-	}
-	if tag != "quan" {
-		return pointstore.ModeOff, nil
+	if err != nil || tag != "quan" {
+		return err
 	}
 	payload, err := s.read("quan")
 	if err != nil {
-		return pointstore.ModeOff, err
+		return err
 	}
 	d := &dec{b: payload}
-	mode := pointstore.Mode(d.u8())
+	mode := d.u8()
 	if err := d.done("quan"); err != nil {
-		return pointstore.ModeOff, err
+		return err
 	}
-	if mode != pointstore.ModeSQ8 {
-		return pointstore.ModeOff, corrupt("quantization mode %d is not a valid \"quan\" payload (sq8 = %d is the only recorded mode)", mode, pointstore.ModeSQ8)
+	if mode != 1 {
+		return corrupt("quantization mode %d is not a valid \"quan\" payload (sq8 = 1 is the only recorded mode)", mode)
 	}
-	return mode, nil
-}
-
-// writeQuantSection writes the "quan" section recording the point-store
-// quantization mode. Callers only emit it for modes other than off.
-func writeQuantSection(w io.Writer, mode pointstore.Mode) error {
-	var e enc
-	e.u8(uint8(mode))
-	return writeSection(w, "quan", e.b)
+	if metric != MetricL2 {
+		return corrupt("metric %q snapshot carries a \"quan\" quantization section (only %s had one)", metric, MetricL2)
+	}
+	return nil
 }
 
 // ---- payload encoding ----

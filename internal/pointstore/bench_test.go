@@ -47,10 +47,6 @@ func BenchmarkKernelVerifyRadius(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	quant, err := NewFlatL2(pts, ModeSQ8)
-	if err != nil {
-		b.Fatal(err)
-	}
 
 	b.Run("rows-sqrt", func(b *testing.B) {
 		benchArm(b, func(q vector.Dense, ids, out []int32) []int32 {
@@ -73,11 +69,6 @@ func BenchmarkKernelVerifyRadius(b *testing.B) {
 			return flat.VerifyRadius(q, ids, r, out)
 		})
 	})
-	b.Run("sq8", func(b *testing.B) {
-		benchArm(b, func(q vector.Dense, ids, out []int32) []int32 {
-			return quant.VerifyRadius(q, ids, r, out)
-		})
-	})
 }
 
 func BenchmarkKernelScanRadius(b *testing.B) {
@@ -87,19 +78,16 @@ func BenchmarkKernelScanRadius(b *testing.B) {
 		ds[i] = math.Sqrt(vector.L2Sq(pts[0], p))
 	}
 	r := quantile(ds, 0.05)
-	for _, mode := range []Mode{ModeOff, ModeSQ8} {
-		st, err := NewFlatL2(pts, mode)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(mode.String(), func(b *testing.B) {
-			out := make([]int32, 0, 512)
-			for i := 0; i < b.N; i++ {
-				out = st.ScanRadius(pts[0], r, out[:0])
-			}
-			_ = out
-		})
+	st, err := NewFlatL2(pts, ModeOff)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ResetTimer()
+	out := make([]int32, 0, 512)
+	for i := 0; i < b.N; i++ {
+		out = st.ScanRadius(pts[0], r, out[:0])
+	}
+	_ = out
 }
 
 func BenchmarkKernelHammingVerify(b *testing.B) {

@@ -11,8 +11,7 @@ import (
 // []uint64 of n rows × wpr words, with id-aligned aliasing Binary
 // headers for At/Slice. Hamming verification runs the unrolled
 // vector.HammingWords kernel over contiguous rows — no per-point Words
-// pointer chase. Binary points carry no quantized copy (they are
-// already one bit per coordinate).
+// pointer chase.
 type FlatBinary struct {
 	dim   int // bits per point
 	wpr   int // words per row
@@ -163,7 +162,6 @@ func (s *FlatBinary) Stats() Stats {
 	return Stats{
 		Layout:   "flat",
 		Kernel:   "generic",
-		Quant:    ModeOff.String(),
 		Points:   s.n,
 		Verified: s.verified.Load(),
 	}

@@ -8,17 +8,13 @@
 //     pre-refactor behavior, used by the metrics without a specialized
 //     layout (L1, cosine, angular, Jaccard).
 //   - FlatL2 stores Dense points struct-of-arrays (one contiguous
-//     []float32, dim columns) and verifies with squared-distance kernels;
-//     optionally it keeps an SQ8 scalar-quantized copy (per-dimension
-//     min/max, one byte per coordinate) and filters candidates against it
-//     with a conservative error bound before re-checking survivors
-//     exactly — answers stay id-identical by construction.
+//     []float32, dim columns) and verifies with squared-distance kernels.
 //   - FlatBinary stores Binary points as one contiguous []uint64 word
 //     matrix with an unrolled popcount kernel (Hamming).
 //
 // Every store implements the same Store[P] contract: batch
 // VerifyRadius over candidate id lists, ScanRadius for the linear arm,
-// Append/Compact keeping all copies coherent, and Stats for
+// Append/Compact keeping the layout coherent, and Stats for
 // observability. core.Index, covering.Index and (through core) the
 // multi-probe and sharded modes all verify through this layer.
 package pointstore
@@ -30,41 +26,14 @@ import (
 	"repro/internal/distance"
 )
 
-// Mode selects the quantization behavior of the layouts that support it.
+// Mode is the former quantization selector of NewFlatL2. Exact storage
+// is the only layout left, so ModeOff is its only value; the type and
+// NewFlatL2's Mode argument are kept only so the perfbench harness,
+// which calls NewFlatL2(points, ModeOff), keeps compiling.
 type Mode uint8
 
-// The quantization modes.
-const (
-	// ModeOff stores exact values only.
-	ModeOff Mode = iota
-	// ModeSQ8 additionally keeps a scalar-quantized uint8 copy and uses
-	// it as a conservative pre-filter during radius verification.
-	ModeSQ8
-)
-
-// String returns "off" or "sq8".
-func (m Mode) String() string {
-	switch m {
-	case ModeOff:
-		return "off"
-	case ModeSQ8:
-		return "sq8"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseMode parses "off" or "sq8".
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "off", "":
-		return ModeOff, nil
-	case "sq8":
-		return ModeSQ8, nil
-	default:
-		return ModeOff, fmt.Errorf("pointstore: unknown quantization mode %q (want off or sq8)", s)
-	}
-}
+// ModeOff stores exact values only.
+const ModeOff Mode = 0
 
 // Stats is a point-in-time snapshot of one store's layout and
 // verification counters. The counters are cumulative since the store was
@@ -78,49 +47,22 @@ type Stats struct {
 	// layout and metric, and FlatL2 on a CPU or GOARCH without AVX2 —
 	// the same answers, several times slower per candidate).
 	Kernel string `json:"kernel"`
-	// Quant is the quantization mode in effect ("off" or "sq8").
-	Quant string `json:"quant"`
 	// Points is the stored point count.
 	Points int `json:"points"`
-	// QuantBytes is the size of the quantized copy (0 when off).
-	QuantBytes int64 `json:"quant_bytes"`
-	// QuantBound is the conservative L2 decode-error bound E of the
-	// current SQ8 fit: a candidate is rejected without an exact check
-	// only when its quantized distance exceeds r + E.
-	QuantBound float64 `json:"quant_bound"`
 	// Verified counts candidates that entered radius verification
 	// (VerifyRadius ids plus ScanRadius points).
 	Verified uint64 `json:"verified"`
-	// QuantRejected counts candidates the quantized filter rejected
-	// without an exact distance computation (quantized distance above
-	// r + E even after slack).
-	QuantRejected uint64 `json:"quant_rejected"`
-	// QuantAccepted counts candidates the quantized filter reported
-	// without an exact distance computation (quantized distance below
-	// r − E even after slack).
-	QuantAccepted uint64 `json:"quant_accepted"`
-	// QuantRechecked counts candidates inside the ambiguity band around
-	// r that were re-checked exactly.
-	QuantRechecked uint64 `json:"quant_rechecked"`
-	// QuantRefits counts full re-encodes triggered by Append batches
-	// containing values outside the fitted per-dimension range.
-	QuantRefits uint64 `json:"quant_refits"`
 }
 
-// Add accumulates other's counters and sizes into s (for aggregating
-// shard stats); layout/kernel/quant/bound are taken from other when s
-// is empty.
+// Add accumulates other's point and verification counts into s (for
+// aggregating shard stats); layout and kernel are taken from other when
+// s is empty.
 func (s *Stats) Add(other Stats) {
 	if s.Layout == "" {
-		s.Layout, s.Kernel, s.Quant, s.QuantBound = other.Layout, other.Kernel, other.Quant, other.QuantBound
+		s.Layout, s.Kernel = other.Layout, other.Kernel
 	}
 	s.Points += other.Points
-	s.QuantBytes += other.QuantBytes
 	s.Verified += other.Verified
-	s.QuantRejected += other.QuantRejected
-	s.QuantAccepted += other.QuantAccepted
-	s.QuantRechecked += other.QuantRechecked
-	s.QuantRefits += other.QuantRefits
 }
 
 // Store is the storage + verification contract. Reads (At, Slice,
@@ -142,9 +84,7 @@ type Store[P any] interface {
 	// expected survivor count.
 	Compact(dead []bool, live int) (Store[P], error)
 	// VerifyRadius appends to out the ids (in input order) whose
-	// distance to q is at most r. The answer is exact: quantized layouts
-	// may pre-filter, but every reported id passed an exact check and no
-	// id within r is dropped.
+	// distance to q is at most r.
 	VerifyRadius(q P, ids []int32, r float64, out []int32) []int32
 	// ScanRadius appends to out every stored id within r of q (the
 	// LINEAR arm).
@@ -235,7 +175,6 @@ func (g *Generic[P]) Stats() Stats {
 	return Stats{
 		Layout:   "generic",
 		Kernel:   "generic",
-		Quant:    ModeOff.String(),
 		Points:   len(g.pts),
 		Verified: g.verified.Load(),
 	}

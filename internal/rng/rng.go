@@ -108,7 +108,7 @@ func mul128(a, b uint64) (hi, lo uint64) {
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float64Open returns a uniform float64 in (0, 1): never exactly zero, which
@@ -129,7 +129,7 @@ func (r *Rand) Normal() float64 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}

@@ -1177,9 +1177,9 @@ type Stats struct {
 	CacheEnabled                               bool
 	CacheHits, CacheMisses, CacheInvalidations int64
 	CacheEntries, CacheCapacity                int
-	// Store aggregates the shards' point-store stats — layout,
-	// quantization sizes and the verification counters summed across
-	// shards; the zero value when the shard indexes don't report them.
+	// Store aggregates the shards' point-store stats — layout, kernel,
+	// and the point and verification counts summed across shards; the
+	// zero value when the shard indexes don't report them.
 	Store pointstore.Stats
 }
 

@@ -35,14 +35,14 @@ type Harness[P any] struct {
 	New func(t *testing.T, points []P, seed uint64) core.Store[P]
 	// Data generates n deterministic points for the given seed.
 	Data func(n int, seed uint64) []P
-	// NewQuant optionally builds the same index over an alternative
-	// verification store — typically the SQ8-quantized flat layout, or
-	// the flat layout when New uses the generic one. When set, the
-	// QuantEquivalence subtest pins the store-swap guarantee: for equal
-	// (points, seed) the two builds must answer id-identically, at
-	// build time and after Append and CompactStore. Nil skips the
-	// subtest (e.g. store layouts with no alternative encoding).
-	NewQuant func(t *testing.T, points []P, seed uint64) core.Store[P]
+	// NewAlt optionally builds the same index over an alternate
+	// verification store — typically the flat layout when New uses the
+	// generic one. When set, the QuantEquivalence subtest pins the
+	// store-swap guarantee: for equal (points, seed) the two builds must
+	// answer id-identically, at build time and after Append and
+	// CompactStore. Nil skips the subtest (e.g. an index hard-wired to
+	// one layout).
+	NewAlt func(t *testing.T, points []P, seed uint64) core.Store[P]
 }
 
 // batcher is the QueryBatch surface every store in this repository
@@ -97,7 +97,9 @@ func Run[P any](t *testing.T, h Harness[P]) {
 		t.Run("SetCostSwaps", h.testSetCostSwaps)
 		t.Run("SetCostRejectsDegenerate", h.testSetCostRejects)
 		t.Run("SetCostConcurrentWithQueries", h.testSetCostConcurrent)
-		t.Run("QuantEquivalence", h.testQuantEquivalence)
+		// Named for the quantized store it was written against; the ID
+		// is kept so test histories and selections stay stable.
+		t.Run("QuantEquivalence", h.testStoreSwapEquivalence)
 	})
 }
 
@@ -329,60 +331,62 @@ func (h Harness[P]) testCompactBadLength(t *testing.T) {
 	}
 }
 
-// testQuantEquivalence pins the store-swap guarantee: swapping the
-// verification store (exact generic/flat vs SQ8-quantized) must never
-// change an answer. Both builds share (points, seed), so their hash
+// testStoreSwapEquivalence pins the store-swap guarantee: swapping the
+// verification store (generic vs flat layout) must never change an
+// answer. Both builds share (points, seed), so their hash
 // tables, sketches and cost inputs are identical — any id divergence is
 // a verification bug, not a legitimate strategy flip. Compared via both
 // the hybrid Query (exercising whichever arm the shared decision picks,
 // including the store's linear ScanRadius) and forced LSH when
 // available (exercising VerifyRadius), at build time, after Append and
-// after CompactStore.
-func (h Harness[P]) testQuantEquivalence(t *testing.T) {
-	if h.NewQuant == nil {
+// after CompactStore. Every data point is a query: few (query, point)
+// pairs sit near the radius in clustered data, and those are the pairs
+// a store with a wrong distance or bound answers differently.
+func (h Harness[P]) testStoreSwapEquivalence(t *testing.T) {
+	if h.NewAlt == nil {
 		t.Skip("harness has no alternative-store build")
 	}
 	data := h.Data(180, 13)
 	half := len(data) * 2 / 3
-	exact := h.New(t, data[:half:half], 7)
-	quant := h.NewQuant(t, data[:half:half], 7)
+	base := h.New(t, data[:half:half], 7)
+	alt := h.NewAlt(t, data[:half:half], 7)
 
 	compare := func(stage string, a, b core.Store[P]) {
 		t.Helper()
-		for qi, q := range h.queries(data) {
+		for qi, q := range data {
 			ea, _ := a.Query(q)
 			eb, _ := b.Query(q)
 			if !slices.Equal(sorted(ea), sorted(eb)) {
-				t.Fatalf("%s: query %d: exact %v != quant %v", stage, qi, sorted(ea), sorted(eb))
+				t.Fatalf("%s: query %d: default store %v != alternate %v", stage, qi, sorted(ea), sorted(eb))
 			}
 			if !slices.Equal(sorted(query(a, q)), sorted(query(b, q))) {
 				t.Fatalf("%s: query %d: forced-LSH answers diverge", stage, qi)
 			}
 		}
 	}
-	compare("build", exact, quant)
+	compare("build", base, alt)
 
-	if err := exact.Append(data[half:]); err != nil {
+	if err := base.Append(data[half:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := quant.Append(data[half:]); err != nil {
+	if err := alt.Append(data[half:]); err != nil {
 		t.Fatal(err)
 	}
-	compare("append", exact, quant)
+	compare("append", base, alt)
 
 	dead := make([]bool, len(data))
 	for i := range dead {
 		dead[i] = i%3 == 0
 	}
-	ce, err := exact.CompactStore(dead)
+	cb, err := base.CompactStore(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := quant.CompactStore(dead)
+	ca, err := alt.CompactStore(dead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compare("compact", ce, cq)
+	compare("compact", cb, ca)
 }
 
 // testSetCostSwaps pins the swap contract: a usable model is adopted

@@ -2,8 +2,8 @@ package vector
 
 // Bit-identity of L2SqToMany's batch kernel against l2SqRaw: on AVX2
 // hosts the assembly computes four rows per call, and every distance it
-// returns must carry exactly the bits of the scalar loop — the SQ8
-// accept bound, the snapshot goldens and every reported id depend on it.
+// returns must carry exactly the bits of the scalar loop — the snapshot
+// goldens and every reported id depend on it.
 
 import (
 	"encoding/binary"

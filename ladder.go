@@ -112,7 +112,7 @@ func NewL2Ladder(points []Dense, rmin, rmax, c float64, opts ...Option) (*Ladder
 			Family:   lsh.NewPStableL2(dim, w),
 			Distance: distance.L2,
 			Radius:   r,
-			Store:    pointstore.DenseL2Builder(o.quant),
+			Store:    pointstore.DenseL2Builder(),
 		})
 		if cfg.K == 0 {
 			cfg.K = 7

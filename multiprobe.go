@@ -80,7 +80,7 @@ func newMultiProbeL2Core(points []Dense, r float64, o options) (*multiprobe.Inde
 		HLLThreshold: o.hllThresh,
 		Cost:         o.cost,
 		Seed:         o.seed,
-		Store:        pointstore.DenseL2Builder(o.quant),
+		Store:        pointstore.DenseL2Builder(),
 	})
 }
 

@@ -4,27 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pointstore"
 )
-
-// QuantMode selects the point-store quantization behavior of the dense
-// L2 constructors (see WithQuant).
-type QuantMode = pointstore.Mode
-
-// The quantization modes.
-const (
-	// QuantOff stores exact float32 values only (the default).
-	QuantOff = pointstore.ModeOff
-	// QuantSQ8 additionally keeps a scalar-quantized uint8 copy
-	// (per-dimension min/max, one byte per coordinate — a 4× smaller
-	// verification working set) and pre-filters candidates against it
-	// under a conservative error bound before the exact re-check.
-	// Answers are id-identical to QuantOff by construction.
-	QuantSQ8 = pointstore.ModeSQ8
-)
-
-// ParseQuantMode parses "off" or "sq8" (the -quant flag values).
-func ParseQuantMode(s string) (QuantMode, error) { return pointstore.ParseMode(s) }
 
 // Option customizes index construction. The defaults reproduce the paper's
 // experimental setting: δ = 0.1, L = 50 tables, m = 128 HLL registers,
@@ -46,7 +26,6 @@ type options struct {
 	probes        int
 	radius        int
 	cacheSize     int
-	quant         QuantMode
 }
 
 // shardCount resolves the shard count for the sharded constructors
@@ -178,16 +157,6 @@ func WithRadius(r int) Option {
 		o.radius = r
 	}
 }
-
-// WithQuant sets the point-store quantization mode of the dense L2
-// constructors (NewL2Index, NewShardedL2Index, NewMultiProbeL2Index,
-// NewShardedMultiProbeL2Index, NewL2Ladder). QuantSQ8 keeps a
-// scalar-quantized copy of the points and uses it as a conservative
-// pre-filter during candidate verification — answers stay id-identical
-// to QuantOff, the verification working set shrinks 4×. Constructors
-// whose metric has no quantized layout (L1, cosine, angular, Hamming,
-// Jaccard) ignore it. Default QuantOff.
-func WithQuant(m QuantMode) Option { return func(o *options) { o.quant = m } }
 
 // WithSlotWidth overrides the p-stable slot width w (L1/L2 indexes only;
 // ignored elsewhere). Defaults: w = 4r for L1, w = 2r for L2, the paper's
