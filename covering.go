@@ -80,10 +80,10 @@ func newCoveringCore(points []Binary, o options) (*covering.Index, error) {
 // CoveringHammingIndex: the same fan-out queries, tombstone deletes,
 // auto-compaction and snapshot machinery as ShardedHammingIndex (see
 // ShardedL2Index for the concurrency contract), over covering shards.
-// Every shard draws its own φ from the construction seed, and each φ
-// guarantees zero false negatives on its own points, so the merged
-// report keeps recall 1.0. QueryRadius and QueryBatchRadius additionally
-// accept a per-call radius narrowing.
+// Every shard draws φ from the construction seed (so all shards hold
+// equal φ), and φ guarantees zero false negatives on each shard's
+// points, so the merged report keeps recall 1.0. QueryRadius and
+// QueryBatchRadius additionally accept a per-call radius narrowing.
 type ShardedCoveringHammingIndex struct {
 	*shard.Sharded[Binary]
 	radius int

@@ -93,13 +93,16 @@ func TestShardedCoveringMatchesGroundTruth(t *testing.T) {
 		if !slices.Equal(sortedIDs(ids), sortedIDs(truth)) {
 			t.Errorf("query %d: sharded covering != exact ground truth", qi)
 		}
-		// Per-request narrowing through the shard fan-out.
-		nids, _, err := sh.QueryRadius(q, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(sortedIDs(nids), sortedIDs(GroundTruthHamming(points, q, 1))) {
-			t.Errorf("query %d: sharded radius-1 override != radius-1 truth", qi)
+		// Per-request narrowing through the shard fan-out, at every
+		// radius up to the built one.
+		for r := 0; r <= 3; r++ {
+			nids, _, err := sh.QueryRadius(q, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(sortedIDs(nids), sortedIDs(GroundTruthHamming(points, q, float64(r)))) {
+				t.Errorf("query %d: sharded radius-%d override != radius-%d truth", qi, r, r)
+			}
 		}
 	}
 

@@ -27,7 +27,7 @@ func (ix *Index[P]) QueryBucketsLSH(q P, buckets []*lsh.Bucket) ([]int32, QueryS
 	stats.Strategy = StrategyLSH
 	stats.Collisions = lsh.Collisions(buckets)
 	t0 := time.Now()
-	out := ix.searchBuckets(q, buckets, st, &stats)
+	out := ix.searchBuckets(q, ix.radius, buckets, st, &stats)
 	stats.SearchTime = time.Since(t0)
 	return out, stats
 }

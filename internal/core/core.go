@@ -273,6 +273,22 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	if cfg.Family == nil {
 		return nil, fmt.Errorf("core: Restore with nil family")
 	}
+	if !(cfg.Delta > 0 && cfg.Delta < 1) {
+		return nil, fmt.Errorf("core: Restore delta = %v, want in (0,1)", cfg.Delta)
+	}
+	if !(cfg.P1 >= 0 && cfg.P1 <= 1) {
+		return nil, fmt.Errorf("core: Restore p1 = %v, want in [0,1]", cfg.P1)
+	}
+	return Assemble(points, tables, cfg)
+}
+
+// Assemble is the assembly Restore runs after its family checks (Family,
+// Delta, P1): it checks the rest of cfg and wraps the tables and a store
+// over points into an Index. Engines whose tables come from no
+// lsh.Family call it directly — covering LSH's φ-mask tables have no
+// collision curve and no failure probability, so their Family is nil
+// and their Delta and P1 are zero.
+func Assemble[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*Index[P], error) {
 	if cfg.Distance == nil {
 		return nil, fmt.Errorf("core: Restore with nil distance")
 	}
@@ -284,12 +300,6 @@ func Restore[P any](points []P, tables *lsh.Tables[P], cfg RestoreConfig[P]) (*I
 	}
 	if !(cfg.Radius > 0) || math.IsInf(cfg.Radius, 0) {
 		return nil, fmt.Errorf("core: Restore radius = %v, want positive and finite", cfg.Radius)
-	}
-	if !(cfg.Delta > 0 && cfg.Delta < 1) {
-		return nil, fmt.Errorf("core: Restore delta = %v, want in (0,1)", cfg.Delta)
-	}
-	if !(cfg.P1 >= 0 && cfg.P1 <= 1) {
-		return nil, fmt.Errorf("core: Restore p1 = %v, want in [0,1]", cfg.P1)
 	}
 	if !cfg.Cost.Usable() {
 		return nil, fmt.Errorf("core: Restore cost = %+v, want positive finite constants", cfg.Cost)
@@ -573,29 +583,45 @@ func (ix *Index[P]) decide(buckets []*lsh.Bucket, st *queryState, stats *QuerySt
 // but in unspecified order (sorting is not part of the paper's cost model;
 // callers that need order sort the ids themselves).
 func (ix *Index[P]) Query(q P) ([]int32, QueryStats) {
+	return ix.QueryWithin(q, ix.radius)
+}
+
+// QueryWithin is Query reporting the points within r instead of the
+// built radius. The decision and the buckets are unchanged; only the
+// verification and the scan use r. Narrowing (r below the built radius)
+// keeps every guarantee the tables give, since the points within r are
+// a subset of those within the built radius; beyond it the tables give
+// none, so callers only narrow.
+func (ix *Index[P]) QueryWithin(q P, r float64) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupInto(q, st.buckets)
-	return ix.answer(q, st, t0)
+	return ix.answer(q, r, st, t0)
 }
 
 // QueryKeys implements Store: Query over precomputed keys. The keys may
 // come from another index's Keyer when the two share hash functions.
 func (ix *Index[P]) QueryKeys(q P, ks *lsh.Keys, _ int) ([]int32, QueryStats) {
+	return ix.QueryKeysWithin(q, ks, ix.radius)
+}
+
+// QueryKeysWithin is QueryKeys reporting the points within r (see
+// QueryWithin).
+func (ix *Index[P]) QueryKeysWithin(q P, ks *lsh.Keys, r float64) ([]int32, QueryStats) {
 	st := ix.getState()
 	defer ix.states.Put(st)
 
 	t0 := time.Now()
 	st.buckets = ix.tables.LookupKeys(ks, st.buckets)
-	return ix.answer(q, st, t0)
+	return ix.answer(q, r, st, t0)
 }
 
 // answer runs Algorithm 2 from the looked-up buckets in st.buckets on:
-// the decision, then the chosen search. t0 marks the start of the
-// estimate stage (the bucket lookup).
-func (ix *Index[P]) answer(q P, st *queryState, t0 time.Time) ([]int32, QueryStats) {
+// the decision, then the chosen search at radius r. t0 marks the start
+// of the estimate stage (the bucket lookup).
+func (ix *Index[P]) answer(q P, r float64, st *queryState, t0 time.Time) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = ix.decide(st.buckets, st, &stats)
 	stats.EstimateTime = time.Since(t0)
@@ -603,9 +629,9 @@ func (ix *Index[P]) answer(q P, st *queryState, t0 time.Time) ([]int32, QuerySta
 	t1 := time.Now()
 	var out []int32
 	if stats.Strategy == StrategyLSH {
-		out = ix.searchBuckets(q, st.buckets, st, &stats)
+		out = ix.searchBuckets(q, r, st.buckets, st, &stats)
 	} else {
-		out = ix.searchLinear(q, &stats)
+		out = ix.searchLinear(q, r, &stats)
 	}
 	stats.SearchTime = time.Since(t1)
 	return out, stats
@@ -641,7 +667,7 @@ func (ix *Index[P]) QueryLSH(q P) ([]int32, QueryStats) {
 	stats.Collisions = lsh.Collisions(st.buckets)
 	stats.EstimateTime = time.Since(t0)
 	t1 := time.Now()
-	out := ix.searchBuckets(q, st.buckets, st, &stats)
+	out := ix.searchBuckets(q, ix.radius, st.buckets, st, &stats)
 	stats.SearchTime = time.Since(t1)
 	return out, stats
 }
@@ -654,7 +680,7 @@ func (ix *Index[P]) QueryLinear(q P) ([]int32, QueryStats) {
 	var stats QueryStats
 	stats.Strategy = StrategyLinear
 	t0 := time.Now()
-	out := ix.searchLinear(q, &stats)
+	out := ix.searchLinear(q, ix.radius, &stats)
 	stats.SearchTime = time.Since(t0)
 	return out, stats
 }
@@ -678,9 +704,9 @@ func (ix *Index[P]) DecideStrategy(q P) (Strategy, QueryStats) {
 // verification: walk the probed buckets and remove duplicates with the
 // generation-stamped visited array (S2), collecting the distinct
 // candidate ids into the pooled scratch buffer, then hand the whole
-// batch to the store's VerifyRadius (S3) — which runs the batch
-// distance kernels over its own layout.
-func (ix *Index[P]) searchBuckets(q P, buckets []*lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
+// batch to the store's VerifyRadius (S3) at radius r — which runs the
+// batch distance kernels over its own layout.
+func (ix *Index[P]) searchBuckets(q P, r float64, buckets []*lsh.Bucket, st *queryState, stats *QueryStats) []int32 {
 	st.gen++
 	if st.gen == 0 {
 		// Generation counter wrapped: clear stamps and restart.
@@ -700,14 +726,14 @@ func (ix *Index[P]) searchBuckets(q P, buckets []*lsh.Bucket, st *queryState, st
 	}
 	st.cand = cand
 	stats.Candidates = len(cand)
-	out := ix.store.VerifyRadius(q, cand, ix.radius, nil)
+	out := ix.store.VerifyRadius(q, cand, r, nil)
 	stats.Results = len(out)
 	return out
 }
 
-// searchLinear scans all points; it is exact.
-func (ix *Index[P]) searchLinear(q P, stats *QueryStats) []int32 {
-	out := ix.store.ScanRadius(q, ix.radius, nil)
+// searchLinear scans all points at radius r; it is exact.
+func (ix *Index[P]) searchLinear(q P, r float64, stats *QueryStats) []int32 {
+	out := ix.store.ScanRadius(q, r, nil)
 	stats.Candidates = ix.store.Len()
 	stats.Results = len(out)
 	return out

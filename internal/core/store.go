@@ -11,9 +11,12 @@ import (
 // any hybrid index that can report its size, expose its point slice for
 // snapshots and compaction absorption, answer hybrid queries, grow by
 // appending, and rewrite itself without a set of dead points. The plain
-// *Index, multiprobe.Index and covering.Index all satisfy it, which is
-// what lets the sharding, compaction and persistence machinery serve
-// multi-probe and covering shards unchanged.
+// *Index satisfies it, and so do multiprobe.Index and covering.Index,
+// which both run on a wrapped *Index — multi-probe over a probe bucket
+// set, covering over φ-mask tables with a per-call radius
+// (QueryWithin, QueryKeysWithin). That is what lets the sharding,
+// compaction and persistence machinery serve multi-probe and covering
+// shards unchanged.
 //
 // Every store answers in two steps that can run apart: its Keyer turns
 // a query into bucket keys, and QueryKeys looks those keys up and runs

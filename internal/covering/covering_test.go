@@ -174,8 +174,8 @@ func TestSketchesAttachedToLargeBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, tab := range ix.tables {
-		for _, b := range tab {
+	for j := 0; j < ix.Tables(); j++ {
+		for _, b := range ix.TableBuckets(j) {
 			if len(b.IDs) >= 32 && b.Sketch == nil {
 				t.Fatal("large bucket missing sketch")
 			}

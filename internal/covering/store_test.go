@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lsh"
 	"repro/internal/storetest"
 	"repro/internal/vector"
 )
@@ -34,6 +35,11 @@ func TestStoreContract(t *testing.T) {
 	})
 }
 
+// TestQueryRadiusNarrowing checks every r' in [0, r] against the ground
+// truth on both entry points the radius crosses — QueryRadius and
+// Keyer().Keys + QueryKeys — under one cost model that forces the LSH
+// branch and one that forces the linear scan, so a radius dropped on
+// either branch fails.
 func TestQueryRadiusNarrowing(t *testing.T) {
 	pts, center := randomPoints(500, 200, 64, 5, 17)
 	ix, err := New(pts, 5, Config{Seed: 18})
@@ -42,25 +48,50 @@ func TestQueryRadiusNarrowing(t *testing.T) {
 	}
 	hamming := func(a, b vector.Binary) float64 { return float64(vector.Hamming(a, b)) }
 	queries := append([]vector.Binary{center}, pts[:10]...)
-	for qi, q := range queries {
-		for r := 0; r <= 5; r++ {
-			out, _ := ix.QueryRadius(q, r)
-			truth := core.GroundTruth(pts, hamming, q, float64(r))
-			slices.Sort(out)
-			if !slices.Equal(out, truth) {
-				t.Fatalf("query %d r=%d: got %d ids, truth %d (narrowed report must stay exact)",
-					qi, r, len(out), len(truth))
-			}
+	models := []struct {
+		name string
+		cost core.CostModel
+		want core.Strategy
+	}{
+		{"lsh", core.CostModel{Alpha: 1e-6, Beta: 1}, core.StrategyLSH},
+		{"linear", core.CostModel{Alpha: 1e6, Beta: 1}, core.StrategyLinear},
+	}
+	var ks lsh.Keys
+	for _, m := range models {
+		if err := ix.SetCost(m.cost); err != nil {
+			t.Fatal(err)
 		}
-		// r < 0 and r > built radius both resolve to the built radius.
-		a, _ := ix.QueryRadius(q, -1)
-		b, _ := ix.Query(q)
-		c, _ := ix.QueryRadius(q, 99)
-		slices.Sort(a)
-		slices.Sort(b)
-		slices.Sort(c)
-		if !slices.Equal(a, b) || !slices.Equal(c, b) {
-			t.Fatalf("query %d: out-of-range overrides did not resolve to the built radius", qi)
+		for qi, q := range queries {
+			ix.Keyer().Keys(q, -1, &ks)
+			for r := 0; r <= 5; r++ {
+				truth := core.GroundTruth(pts, hamming, q, float64(r))
+				out, stats := ix.QueryRadius(q, r)
+				kout, kstats := ix.QueryKeys(q, &ks, r)
+				for _, got := range []struct {
+					path  string
+					ids   []int32
+					stats core.QueryStats
+				}{{"QueryRadius", out, stats}, {"QueryKeys", kout, kstats}} {
+					if got.stats.Strategy != m.want {
+						t.Fatalf("%s model, query %d r=%d: %s chose %v", m.name, qi, r, got.path, got.stats.Strategy)
+					}
+					slices.Sort(got.ids)
+					if !slices.Equal(got.ids, truth) {
+						t.Fatalf("%s model, query %d r=%d: %s got %d ids, truth %d (narrowed report must stay exact)",
+							m.name, qi, r, got.path, len(got.ids), len(truth))
+					}
+				}
+			}
+			// r < 0 and r > built radius both resolve to the built radius.
+			a, _ := ix.QueryRadius(q, -1)
+			b, _ := ix.Query(q)
+			c, _ := ix.QueryRadius(q, 99)
+			slices.Sort(a)
+			slices.Sort(b)
+			slices.Sort(c)
+			if !slices.Equal(a, b) || !slices.Equal(c, b) {
+				t.Fatalf("%s model, query %d: out-of-range overrides did not resolve to the built radius", m.name, qi)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func CorelLike(scale float64, seed uint64) *DenseSet {
 		// Log-uniform per-coordinate spreads in [0.005, 0.06]: with d = 32
 		// the within-cluster L2 scale is ≈ spread·√(2d) ∈ [0.04, 0.48],
 		// bracketing the paper's radius sweep 0.35–0.60.
-		spreads[c] = math.Exp(math.Log(0.005) + r.Float64()*(math.Log(0.06)-math.Log(0.005)))
+		spreads[c] = math.Exp(math.Log(0.005) + float64(r.Float64()*(math.Log(0.06)-math.Log(0.005))))
 	}
 	sizes := powerLawSizes(n, clusters, 1.3, r)
 
@@ -49,7 +49,7 @@ func CorelLike(scale float64, seed uint64) *DenseSet {
 		for i := 0; i < sz; i++ {
 			p := make(vector.Dense, CorelDim)
 			for j := range p {
-				v := float64(centers[c][j]) + r.Normal()*spreads[c]
+				v := float64(centers[c][j]) + float64(r.Normal()*spreads[c])
 				p[j] = float32(clamp01(v))
 			}
 			pts = append(pts, p)
@@ -84,12 +84,12 @@ func CoverTypeLike(scale float64, seed uint64) *DenseSet {
 	for c := range centers {
 		ctr := make(vector.Dense, CoverTypeDim)
 		for j, s := range contScales {
-			ctr[j] = float32(2500 + r.Normal()*s)
+			ctr[j] = float32(2500 + float64(r.Normal()*s))
 		}
 		centers[c] = ctr
 		// Within-cluster noise as a fraction of the feature scale; spans
 		// a 6x range so some clusters are much denser than others.
-		tight[c] = 0.05 + r.Float64()*0.30
+		tight[c] = 0.05 + float64(r.Float64()*0.30)
 		probs := make([]float64, CoverTypeDim-len(contScales))
 		for j := range probs {
 			probs[j] = r.Float64() * 0.3
@@ -169,7 +169,7 @@ func WebspamLike(scale float64, seed uint64) *SparseSet {
 	tail := powerLawSizes(n-len(pts), tailClusters, 1.1, r)
 	for _, sz := range tail {
 		proto := randomSparseDoc(WebspamDim, 30+r.Intn(40), r)
-		perturb := math.Sqrt(3 * (0.005 + 0.25*r.Float64()))
+		perturb := math.Sqrt(3 * (0.005 + float64(0.25*r.Float64())))
 		for i := 0; i < sz; i++ {
 			pts = append(pts, perturbDoc(proto, perturb, r))
 		}
@@ -207,7 +207,7 @@ func MNISTLike(scale float64, seed uint64) *BinarySet {
 	for c, sz := range sizes {
 		// Class-dependent noise: how much an instance deviates from the
 		// prototype before fingerprinting (writer variation).
-		noise := 0.05 + r.Float64()*0.20
+		noise := 0.05 + float64(r.Float64()*0.20)
 		for i := 0; i < sz; i++ {
 			x := protos[c].Clone()
 			for j := range x {
@@ -310,11 +310,11 @@ func perturbDoc(doc vector.Sparse, perturb float64, r *rng.Rand) vector.Sparse {
 	val := make([]float32, len(doc.Val), len(doc.Val)+1)
 	copy(idx, doc.Idx)
 	for i, v := range doc.Val {
-		val[i] = v * float32(1+(2*r.Float64()-1)*perturb)
+		val[i] = v * float32(1+float64((float64(2*r.Float64())-1)*perturb))
 	}
 	if r.Float64() < perturb {
 		idx = append(idx, int32(r.Intn(doc.Dim)))
-		val = append(val, float32(0.1+r.Exp()*perturb))
+		val = append(val, float32(0.1+float64(r.Exp()*perturb)))
 	}
 	return vector.NewSparse(doc.Dim, idx, val).Normalize()
 }

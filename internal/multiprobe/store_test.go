@@ -19,8 +19,12 @@ import (
 // suite; this file keeps only the multi-probe-specific surface
 // (FromCore validation and the per-call probe override).
 
-// storeData generates n clustered Corel-dim points (σ = 0.03 around 10
-// random centers), so radius-0.45 queries have non-trivial neighbors.
+// storeData generates n clustered Corel-dim points around 10 random
+// centers, cluster c spreading with σ = 0.03 + 0.05·c/9. Intra-cluster
+// distances (≈ 8σ at d = 32) then run from ≈ 0.24 to ≈ 0.64 and
+// straddle the 0.45 radius, so radius-0.45 queries have non-trivial
+// neighbors and a verification that misjudges the boundary changes
+// answers.
 func storeData(n int, seed uint64) []vector.Dense {
 	const nc = 10
 	r := rng.New(seed)
@@ -35,9 +39,10 @@ func storeData(n int, seed uint64) []vector.Dense {
 	pts := make([]vector.Dense, n)
 	for i := range pts {
 		c := centers[i%nc]
+		sigma := 0.03 + 0.05*float64(i%nc)/float64(nc-1)
 		p := make(vector.Dense, dataset.CorelDim)
 		for d := range p {
-			p[d] = c[d] + float32(r.Normal()*0.03)
+			p[d] = c[d] + float32(r.Normal()*sigma)
 		}
 		pts[i] = p
 	}

@@ -27,19 +27,22 @@ import (
 // The kind-1 "covr" payload is radius, dim, n, the HLL geometry, the
 // cost model, the construction seed and the dim φ entries; the sharded
 // structure-level "covr" holds only the shared radius (each shard's own
-// "covr" carries its full per-shard parameters, φ included — shards draw
-// independent φ). Readers of either mode reject the other's files with
-// ErrCoverMode rather than guessing: a covering file has no (k, L, δ)
-// to hand a plain reader, and a plain file has no φ to hand this one.
+// "covr" carries its full per-shard parameters, φ included — shards
+// built from one seed draw equal φ, but each shard's is recorded, so
+// files whose shards carry different φ load too). Readers of either
+// mode reject the other's files with ErrCoverMode rather than guessing:
+// a covering file has no (k, L, δ) to hand a plain reader, and a plain
+// file has no φ to hand this one.
 // Both sections are sanctioned in-v1 extensions like "prob": files that
 // carry neither are byte-identical to the original layout.
 
-// writeCovrSection encodes one covering index's parameters.
-func writeCovrSection(w io.Writer, ix *covering.Index) error {
+// writeCovrSection encodes one covering index's parameters over n
+// points.
+func writeCovrSection(w io.Writer, ix *covering.Index, n int) error {
 	var e enc
 	e.u32(uint32(ix.Radius()))
 	e.u32(uint32(ix.Dim()))
-	e.u64(uint64(ix.N()))
+	e.u64(uint64(n))
 	e.u32(uint32(ix.HLLRegisters()))
 	e.u32(uint32(ix.HLLThreshold()))
 	e.f64(ix.Cost().Alpha)
@@ -130,22 +133,28 @@ func (s *sectionStream) readCovrSection() (*coverMeta, error) {
 }
 
 // writeCoveringBody writes the "covr", "pnts" and per-table "tabl"
-// sections of one covering index.
-func writeCoveringBody(w io.Writer, ix *covering.Index) error {
-	if err := writeCovrSection(w, ix); err != nil {
+// sections of one covering index over points, taking each table's
+// buckets from buckets when it is non-nil (a compacted snapshot view,
+// see compactShard) and from the index otherwise.
+func writeCoveringBody(w io.Writer, ix *covering.Index, points []vector.Binary, buckets []map[uint64]*lsh.Bucket) error {
+	if err := writeCovrSection(w, ix, len(points)); err != nil {
 		return err
 	}
-	im := &indexMeta{dim: ix.Dim(), n: ix.N()}
+	im := &indexMeta{dim: ix.Dim(), n: len(points)}
 	var e enc
-	if err := writeBinaryPoints(&e, im, ix.Points()); err != nil {
+	if err := writeBinaryPoints(&e, im, points); err != nil {
 		return err
 	}
 	if err := writeSection(w, "pnts", e.b); err != nil {
 		return err
 	}
 	for t := 0; t < ix.Tables(); t++ {
+		bm := ix.TableBuckets(t)
+		if buckets != nil {
+			bm = buckets[t]
+		}
 		e = enc{}
-		if err := writeBuckets(&e, ix.TableBuckets(t), ix.N()); err != nil {
+		if err := writeBuckets(&e, bm, im.n); err != nil {
 			return err
 		}
 		if err := writeSection(w, "tabl", e.b); err != nil {
@@ -225,7 +234,7 @@ func WriteCovering(w io.Writer, ix *covering.Index) (int64, error) {
 	if err := writeHeader(cw, kindIndex); err != nil {
 		return cw.n, err
 	}
-	if err := writeCoveringBody(cw, ix); err != nil {
+	if err := writeCoveringBody(cw, ix, ix.Points(), nil); err != nil {
 		return cw.n, err
 	}
 	if err := writeSection(cw, "end!", nil); err != nil {
@@ -315,9 +324,9 @@ func WriteShardedCovering(w io.Writer, s *shard.Sharded[vector.Binary]) (int64, 
 			tombs[id] = struct{}{}
 		}
 		for j, cov := range covs {
-			cov, ids, err := compactCoveringShard(cov, shards[j].IDs, tombs)
+			points, ids, buckets, err := compactShard(cov.Core(), shards[j].IDs, tombs)
 			if err != nil {
-				return fmt.Errorf("persist: compacting covering shard %d for snapshot: %w", j, err)
+				return err
 			}
 			e = enc{}
 			e.u64(uint64(len(ids)))
@@ -327,48 +336,13 @@ func WriteShardedCovering(w io.Writer, s *shard.Sharded[vector.Binary]) (int64, 
 			if err := writeSection(cw, "sids", e.b); err != nil {
 				return err
 			}
-			if err := writeCoveringBody(cw, cov); err != nil {
+			if err := writeCoveringBody(cw, cov, points, buckets); err != nil {
 				return err
 			}
 		}
 		return writeSection(cw, "end!", nil)
 	})
 	return cw.n, err
-}
-
-// compactCoveringShard filters a shard's tombstoned points out of its
-// snapshot view via covering.Index.Compact — the same rewrite the online
-// shard compaction path runs, so a snapshot of a tombstoned covering
-// index and a snapshot of the same index compacted online are
-// byte-identical. With no tombstoned point the live (read-locked) index
-// is returned without copying.
-func compactCoveringShard(cov *covering.Index, gids []int32, tombs map[int32]struct{}) (*covering.Index, []int32, error) {
-	dead := false
-	if len(tombs) > 0 {
-		for _, gid := range gids {
-			if _, d := tombs[gid]; d {
-				dead = true
-				break
-			}
-		}
-	}
-	if !dead {
-		return cov, gids, nil
-	}
-	flags := make([]bool, cov.N())
-	ids := make([]int32, 0, len(gids))
-	for l, gid := range gids {
-		if _, d := tombs[gid]; d {
-			flags[l] = true
-			continue
-		}
-		ids = append(ids, gid)
-	}
-	compacted, err := cov.Compact(flags)
-	if err != nil {
-		return nil, nil, err
-	}
-	return compacted, ids, nil
 }
 
 // ReadShardedCovering reads a sharded covering snapshot written by

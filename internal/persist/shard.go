@@ -142,6 +142,7 @@ func wrapProbes[P any](ix *core.Index[P], probes int) (core.Store[P], error) {
 // rewrite is lsh.Tables.Compact — the same code the online
 // shard.Sharded.Compact path runs — so a snapshot of a tombstoned index
 // and a snapshot of the same index compacted online are byte-identical.
+// Covering shards run through it too, via their wrapped core index.
 // When the shard holds no tombstoned point the original (live,
 // read-locked) state is returned without copying.
 func compactShard[P any](ix *core.Index[P], gids []int32, tombs map[int32]struct{}) ([]P, []int32, []map[uint64]*lsh.Bucket, error) {

@@ -31,15 +31,6 @@ func BinaryHammingBuilder() Builder[vector.Binary] {
 	}
 }
 
-// EmptyFlatBinary returns an empty store of the given bit dimension,
-// ready to Append into (covering.Index builds its store this way, since
-// an empty point set carries no dimension of its own).
-func EmptyFlatBinary(dim int) *FlatBinary {
-	s := &FlatBinary{dim: dim, wpr: (dim + 63) / 64}
-	s.hdrs = []vector.Binary{}
-	return s
-}
-
 // NewFlatBinary copies points into a fresh struct-of-arrays store. All
 // points must share one dimension.
 func NewFlatBinary(points []vector.Binary) (*FlatBinary, error) {

@@ -267,7 +267,10 @@ func TestFlatBinaryMatchesGeneric(t *testing.T) {
 // the empty store) and compact against the generic store.
 func TestFlatBinaryMutations(t *testing.T) {
 	pts := randBinary(120, 64, 19)
-	flat := EmptyFlatBinary(0)
+	flat, err := NewFlatBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := flat.Append(pts[:60]); err != nil {
 		t.Fatal(err)
 	}

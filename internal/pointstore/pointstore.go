@@ -15,8 +15,8 @@
 // Every store implements the same Store[P] contract: batch
 // VerifyRadius over candidate id lists, ScanRadius for the linear arm,
 // Append/Compact keeping the layout coherent, and Stats for
-// observability. core.Index, covering.Index and (through core) the
-// multi-probe and sharded modes all verify through this layer.
+// observability. core.Index and (through core) the multi-probe,
+// covering and sharded modes all verify through this layer.
 package pointstore
 
 import (
